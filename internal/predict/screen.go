@@ -16,22 +16,7 @@ package predict
 // in some reordering; pairs it orders cannot, so they are screened out
 // before the quadratic-in-candidates closure work.
 
-// uvc is the screen's vector clock: one uint32 per logical thread.
-type uvc []uint32
-
-func (v uvc) join(o uvc) {
-	for i, c := range o {
-		if c > v[i] {
-			v[i] = c
-		}
-	}
-}
-
-func (v uvc) clone() uvc {
-	c := make(uvc, len(v))
-	copy(c, v)
-	return c
-}
+import "repro/internal/vclock"
 
 // candidate is a conflicting cross-thread pair unordered under the weak
 // screen, with a.G < b.G.
@@ -50,68 +35,67 @@ func screen(rec *Recording, max int) []candidate {
 	if n < 2 {
 		return nil
 	}
-	tvc := make([]uvc, n)
+	tvc := make([]vclock.VC, n)
 	for i := range tvc {
-		tvc[i] = make(uvc, n)
+		tvc[i] = vclock.New(n)
 	}
-	sendVC := make(map[uint64][]uvc)
-	recvVC := make(map[uint64][]uvc)
-	otherVC := make(map[uint64]uvc)
+	sendVC := make(map[uint64][]vclock.VC)
+	recvVC := make(map[uint64][]vclock.VC)
+	otherVC := make(map[uint64]vclock.VC)
 
 	// accs collects shared accesses with the clock snapshot taken at
 	// their execution point.
 	type acc struct {
 		e    *Event
-		snap uvc
+		snap vclock.VC
 	}
 	var accs []acc
 
 	for _, g := range rec.order {
 		e := &rec.Threads[g.thread][g.index]
-		me := tvc[g.thread]
+		me := &tvc[g.thread]
 		if g.done {
 			// Send completion: join the receive that freed its slot.
 			if need := e.Pos - e.Cap; need >= 0 {
 				if rv := recvVC[e.Obj]; need < len(rv) {
-					me.join(rv[need])
+					me.Join(rv[need])
 				}
 			}
 			continue
 		}
-		me[g.thread]++
+		me.Tick(g.thread)
 		switch e.Kind {
 		case KindRead, KindWrite:
-			accs = append(accs, acc{e: e, snap: me.clone()})
+			accs = append(accs, acc{e: e, snap: me.Copy()})
 		case KindFork:
 			if e.Child < n {
-				tvc[e.Child].join(me)
+				tvc[e.Child].Join(*me)
 			}
 		case KindJoin:
 			if e.Child < n {
-				me.join(tvc[e.Child])
+				me.Join(tvc[e.Child])
 			}
 		case KindSend:
 			sv := sendVC[e.Obj]
 			for len(sv) <= e.Pos {
-				sv = append(sv, nil)
+				sv = append(sv, vclock.VC{})
 			}
-			sv[e.Pos] = me.clone()
+			sv[e.Pos] = me.Copy()
 			sendVC[e.Obj] = sv
 		case KindRecv:
-			if sv := sendVC[e.Obj]; e.Pos < len(sv) && sv[e.Pos] != nil {
-				me.join(sv[e.Pos])
+			// An unrecorded send slot is the empty clock: joining it is a no-op.
+			if sv := sendVC[e.Obj]; e.Pos < len(sv) {
+				me.Join(sv[e.Pos])
 			}
 			rv := recvVC[e.Obj]
 			for len(rv) <= e.Pos {
-				rv = append(rv, nil)
+				rv = append(rv, vclock.VC{})
 			}
-			rv[e.Pos] = me.clone()
+			rv[e.Pos] = me.Copy()
 			recvVC[e.Obj] = rv
 		case KindOther:
-			if o := otherVC[e.Obj]; o != nil {
-				me.join(o)
-			}
-			otherVC[e.Obj] = me.clone()
+			me.Join(otherVC[e.Obj])
+			otherVC[e.Obj] = me.Copy()
 		case KindAcquire, KindRelease, KindWork:
 			// Program order only under the weak screen.
 		}
@@ -132,7 +116,7 @@ func screen(rec *Recording, max int) []candidate {
 			}
 			// a precedes b in the trace, so only the forward ordering can
 			// hold: a is before b iff b's snapshot covers a's own tick.
-			if b.snap[a.e.Thread] >= a.snap[a.e.Thread] {
+			if b.snap.Clock(a.e.Thread) >= a.snap.Clock(a.e.Thread) {
 				continue
 			}
 			out = append(out, candidate{a: a.e, b: b.e})

@@ -578,6 +578,15 @@ func (s *Server) Submit(sessionID string, spec apiv1.JobSpec, idemKey string) (*
 			s.mu.Unlock()
 			return nil, fmt.Errorf("%w: session %s", ErrSessionClosed, sessionID)
 		}
+		if spec.Detection == "" && sess.detection == clean.DetectPredict {
+			// A predict session's jobs face the per-job predict rules.
+			eff := spec
+			eff.Detection = apiv1.DetectionPredict
+			if err := eff.Validate(); err != nil {
+				s.mu.Unlock()
+				return nil, &BadRequestError{Err: err}
+			}
+		}
 		if idemKey != "" {
 			if dup, ok := sess.byKey[idemKey]; ok {
 				// Answer from the original only once its durable write has
@@ -1065,11 +1074,6 @@ func (s *Server) runJob(j *job) []apiv1.RunResult {
 			}
 			return s.runProgram(j.sess, det, j.prog, seeds[i], maxSteps)
 		}
-		if det == clean.DetectPredict {
-			// JobSpec.Validate rejects predict+workload at submission;
-			// this catches sessions opened in predict mode.
-			return errorResult(seeds[i], errors.New("predict mode needs a program-backed job (program, litmus or go_source)"))
-		}
 		return s.runWorkload(j.sess, det, j.spec.Workload, seeds[i], maxSteps)
 	})
 	if expired {
@@ -1082,8 +1086,9 @@ func (s *Server) runJob(j *job) []apiv1.RunResult {
 }
 
 // effDetection resolves a job's detection mode: the spec's per-job
-// override when present (already vetted by JobSpec.Validate at
-// submission), else the session's mode.
+// override when present, else the session's mode. Submit has already
+// vetted the job against it: a predict job is program-backed and
+// unscheduled.
 func (s *Server) effDetection(j *job) clean.Detection {
 	if j.spec.Detection != "" {
 		if d, err := clean.ParseDetection(j.spec.Detection); err == nil {

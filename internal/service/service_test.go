@@ -502,7 +502,7 @@ func TestGoSourceJobRejectsBadSource(t *testing.T) {
 // TestPredictJob drives the predict-enabled job path end to end: a racy
 // litmus submitted with the per-job detection override yields certified
 // predicted-race documents (with witness schedules), a race-free litmus
-// yields none, and a workload job in a predict session fails cleanly.
+// yields none.
 func TestPredictJob(t *testing.T) {
 	ctx := context.Background()
 	_, c := startTestServer(t, Config{Workers: 2, QueueDepth: 8})
@@ -552,17 +552,35 @@ func TestPredictJob(t *testing.T) {
 		t.Errorf("race-free predict run: outcome %q, %d predictions", r.Outcome, len(r.Predicted))
 	}
 
-	// A session opened in predict mode rejects workload jobs at run time
-	// (spec-level predict+workload is already a 400 in Validate).
+}
+
+// TestPredictSessionRejectsUnrunnableJobs: a session opened in predict
+// mode holds its jobs to the per-job predict rules at submission, so a
+// workload job and a scheduled replay are both 400s rather than a run-time
+// error or a silent run under CLEAN.
+func TestPredictSessionRejectsUnrunnableJobs(t *testing.T) {
+	ctx := context.Background()
+	_, c := startTestServer(t, Config{Workers: 1, QueueDepth: 4})
 	psess, err := c.CreateSession(ctx, apiv1.SessionConfig{Detection: apiv1.DetectionPredict, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl, err := c.Run(ctx, psess.ID, apiv1.JobSpec{Workload: &apiv1.WorkloadSpec{Name: "counter", Scale: "test"}})
+	for name, spec := range map[string]apiv1.JobSpec{
+		"workload": {Workload: &apiv1.WorkloadSpec{Name: "counter", Scale: "test"}},
+		"schedule": {Litmus: "waw", Schedule: []int{0, 1}},
+	} {
+		_, err := c.Submit(ctx, psess.ID, spec)
+		var apiErr *apiv1.Error
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || !strings.Contains(apiErr.Message, "predict") {
+			t.Errorf("%s job in a predict session: err = %v, want a 400 naming predict", name, err)
+		}
+	}
+	// A per-job override still wins over the session's mode.
+	job, err := c.Run(ctx, psess.ID, apiv1.JobSpec{Litmus: "waw", Schedule: []int{0, 1}, Detection: apiv1.DetectionCLEAN})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := wl.Runs[0]; r.Outcome != apiv1.OutcomeError || !strings.Contains(r.Error, "predict") {
-		t.Errorf("workload under predict session: outcome %q error %q, want error mentioning predict", r.Outcome, r.Error)
+	if r := job.Runs[0]; r.Outcome != apiv1.OutcomeRaceException {
+		t.Errorf("scheduled CLEAN override in a predict session: outcome %q (%s)", r.Outcome, r.Error)
 	}
 }

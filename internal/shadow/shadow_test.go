@@ -10,203 +10,172 @@ import (
 
 var layout = vclock.DefaultLayout
 
-// regions returns both synchronization modes, so every semantic test runs
-// against the unsynchronized fast lane and the atomic variant.
-func regions() map[string]func() *Region {
-	return map[string]func() *Region{
-		"unsync":     New,
-		"concurrent": NewConcurrent,
-	}
-}
-
 func TestLoadUntouchedIsZero(t *testing.T) {
-	for mode, mk := range regions() {
-		r := mk()
-		if e := r.Load(12345); e != 0 {
-			t.Fatalf("%s: untouched epoch = %v, want 0", mode, e)
-		}
-		if r.MappedPages() != 0 {
-			t.Fatalf("%s: Load must not materialize pages, got %d", mode, r.MappedPages())
-		}
+	r := New()
+	if e := r.Load(12345); e != 0 {
+		t.Fatalf("untouched epoch = %v, want 0", e)
+	}
+	if r.MappedPages() != 0 {
+		t.Fatalf("Load must not materialize pages, got %d", r.MappedPages())
 	}
 }
 
 func TestStoreLoadRoundTrip(t *testing.T) {
-	for mode, mk := range regions() {
-		r := mk()
-		e := layout.Pack(3, 77)
-		r.Store(999, e)
-		if got := r.Load(999); got != e {
-			t.Fatalf("%s: Load = %v, want %v", mode, got, e)
-		}
-		if got := r.Load(998); got != 0 {
-			t.Fatalf("%s: neighbour epoch = %v, want 0", mode, got)
-		}
+	r := New()
+	e := layout.Pack(3, 77)
+	r.Store(999, e)
+	if got := r.Load(999); got != e {
+		t.Fatalf("Load = %v, want %v", got, e)
+	}
+	if got := r.Load(998); got != 0 {
+		t.Fatalf("neighbour epoch = %v, want 0", got)
 	}
 }
 
 func TestStoreAcrossPageBoundary(t *testing.T) {
-	for mode, mk := range regions() {
-		r := mk()
-		base := uint64(PageBytes - 2)
-		e := layout.Pack(1, 1)
-		r.StoreRange(base, 4, e)
-		for i := uint64(0); i < 4; i++ {
-			if got := r.Load(base + i); got != e {
-				t.Fatalf("%s: epoch at +%d = %v, want %v", mode, i, got, e)
-			}
+	r := New()
+	base := uint64(PageBytes - 2)
+	e := layout.Pack(1, 1)
+	r.StoreRange(base, 4, e)
+	for i := uint64(0); i < 4; i++ {
+		if got := r.Load(base + i); got != e {
+			t.Fatalf("epoch at +%d = %v, want %v", i, got, e)
 		}
-		if r.MappedPages() != 2 {
-			t.Fatalf("%s: MappedPages = %d, want 2", mode, r.MappedPages())
-		}
+	}
+	if r.MappedPages() != 2 {
+		t.Fatalf("MappedPages = %d, want 2", r.MappedPages())
 	}
 }
 
 func TestCompareAndSwap(t *testing.T) {
-	for mode, mk := range regions() {
-		r := mk()
-		a := layout.Pack(1, 10)
-		b := layout.Pack(2, 20)
-		if !r.CompareAndSwap(5, 0, a) {
-			t.Fatalf("%s: CAS from zero failed", mode)
-		}
-		if r.CompareAndSwap(5, 0, b) {
-			t.Fatalf("%s: CAS with stale old value succeeded", mode)
-		}
-		if !r.CompareAndSwap(5, a, b) {
-			t.Fatalf("%s: CAS with correct old value failed", mode)
-		}
-		if got := r.Load(5); got != b {
-			t.Fatalf("%s: Load = %v, want %v", mode, got, b)
-		}
+	r := New()
+	a := layout.Pack(1, 10)
+	b := layout.Pack(2, 20)
+	if !r.CompareAndSwap(5, 0, a) {
+		t.Fatalf("CAS from zero failed")
+	}
+	if r.CompareAndSwap(5, 0, b) {
+		t.Fatalf("CAS with stale old value succeeded")
+	}
+	if !r.CompareAndSwap(5, a, b) {
+		t.Fatalf("CAS with correct old value failed")
+	}
+	if got := r.Load(5); got != b {
+		t.Fatalf("Load = %v, want %v", got, b)
 	}
 }
 
 func TestLoadAllEqual(t *testing.T) {
-	for mode, mk := range regions() {
-		r := mk()
-		e := layout.Pack(4, 9)
-		r.StoreRange(100, 8, e)
-		got, eq, loads := r.LoadAllEqual(100, 8)
-		if !eq || got != e || loads != 8 {
-			t.Fatalf("%s: LoadAllEqual = %v,%v,%d; want %v,true,8", mode, got, eq, loads, e)
-		}
-		r.Store(103, layout.Pack(5, 9))
-		if _, eq, loads := r.LoadAllEqual(100, 8); eq || loads != 4 {
-			t.Fatalf("%s: after divergent byte: eq=%v loads=%d, want false,4", mode, eq, loads)
-		}
-		if _, eq, loads := r.LoadAllEqual(50, 0); !eq || loads != 0 {
-			t.Fatalf("%s: empty range must be trivially equal with 0 loads", mode)
-		}
+	r := New()
+	e := layout.Pack(4, 9)
+	r.StoreRange(100, 8, e)
+	got, eq, loads := r.LoadAllEqual(100, 8)
+	if !eq || got != e || loads != 8 {
+		t.Fatalf("LoadAllEqual = %v,%v,%d; want %v,true,8", got, eq, loads, e)
+	}
+	r.Store(103, layout.Pack(5, 9))
+	if _, eq, loads := r.LoadAllEqual(100, 8); eq || loads != 4 {
+		t.Fatalf("after divergent byte: eq=%v loads=%d, want false,4", eq, loads)
+	}
+	if _, eq, loads := r.LoadAllEqual(50, 0); !eq || loads != 0 {
+		t.Fatalf("empty range must be trivially equal with 0 loads")
 	}
 }
 
 func TestLoadAllEqualUnmappedReadsAsZero(t *testing.T) {
-	for mode, mk := range regions() {
-		r := mk()
-		e, eq, loads := r.LoadAllEqual(1<<30, 8)
-		if e != 0 || !eq || loads != 8 {
-			t.Fatalf("%s: unmapped LoadAllEqual = %v,%v,%d; want 0,true,8", mode, e, eq, loads)
-		}
-		if r.MappedPages() != 0 {
-			t.Fatalf("%s: LoadAllEqual materialized %d pages", mode, r.MappedPages())
-		}
+	r := New()
+	e, eq, loads := r.LoadAllEqual(1<<30, 8)
+	if e != 0 || !eq || loads != 8 {
+		t.Fatalf("unmapped LoadAllEqual = %v,%v,%d; want 0,true,8", e, eq, loads)
+	}
+	if r.MappedPages() != 0 {
+		t.Fatalf("LoadAllEqual materialized %d pages", r.MappedPages())
 	}
 }
 
 func TestLoadAllEqualAcrossPageBoundary(t *testing.T) {
-	for mode, mk := range regions() {
-		r := mk()
-		base := uint64(PageBytes - 3)
-		e := layout.Pack(2, 5)
-		r.StoreRange(base, 8, e)
-		got, eq, loads := r.LoadAllEqual(base, 8)
-		if !eq || got != e || loads != 8 {
-			t.Fatalf("%s: crossing LoadAllEqual = %v,%v,%d; want %v,true,8", mode, got, eq, loads, e)
-		}
-		r.Store(base+5, layout.Pack(3, 5)) // divergence on the second page
-		if _, eq, loads := r.LoadAllEqual(base, 8); eq || loads != 6 {
-			t.Fatalf("%s: crossing divergence: eq=%v loads=%d, want false,6", mode, eq, loads)
-		}
+	r := New()
+	base := uint64(PageBytes - 3)
+	e := layout.Pack(2, 5)
+	r.StoreRange(base, 8, e)
+	got, eq, loads := r.LoadAllEqual(base, 8)
+	if !eq || got != e || loads != 8 {
+		t.Fatalf("crossing LoadAllEqual = %v,%v,%d; want %v,true,8", got, eq, loads, e)
+	}
+	r.Store(base+5, layout.Pack(3, 5)) // divergence on the second page
+	if _, eq, loads := r.LoadAllEqual(base, 8); eq || loads != 6 {
+		t.Fatalf("crossing divergence: eq=%v loads=%d, want false,6", eq, loads)
 	}
 }
 
 func TestCompareAndSwapRangeStopsOnConflict(t *testing.T) {
-	for mode, mk := range regions() {
-		r := mk()
-		old := layout.Pack(1, 1)
-		r.StoreRange(0, 4, old)
-		r.Store(0, layout.Pack(2, 2)) // conflicting update on the leading epoch
-		if r.CompareAndSwapRange(0, 4, old, layout.Pack(1, 3)) {
-			t.Fatalf("%s: range CAS should fail on the conflicting leading epoch", mode)
-		}
-		// Trailing epochs must not have been updated.
-		if got := r.Load(3); got != old {
-			t.Fatalf("%s: epoch past conflict was updated: %v", mode, got)
-		}
+	r := New()
+	old := layout.Pack(1, 1)
+	r.StoreRange(0, 4, old)
+	r.Store(0, layout.Pack(2, 2)) // conflicting update on the leading epoch
+	if r.CompareAndSwapRange(0, 4, old, layout.Pack(1, 3)) {
+		t.Fatalf("range CAS should fail on the conflicting leading epoch")
+	}
+	// Trailing epochs must not have been updated.
+	if got := r.Load(3); got != old {
+		t.Fatalf("epoch past conflict was updated: %v", got)
 	}
 }
 
 func TestCompareAndSwapRangeSucceeds(t *testing.T) {
-	for mode, mk := range regions() {
-		r := mk()
-		old := layout.Pack(1, 1)
-		nw := layout.Pack(1, 2)
-		r.StoreRange(8, 8, old)
-		if !r.CompareAndSwapRange(8, 8, old, nw) {
-			t.Fatalf("%s: range CAS failed on matching epochs", mode)
+	r := New()
+	old := layout.Pack(1, 1)
+	nw := layout.Pack(1, 2)
+	r.StoreRange(8, 8, old)
+	if !r.CompareAndSwapRange(8, 8, old, nw) {
+		t.Fatalf("range CAS failed on matching epochs")
+	}
+	for i := uint64(8); i < 16; i++ {
+		if got := r.Load(i); got != nw {
+			t.Fatalf("epoch %d = %v, want %v", i, got, nw)
 		}
-		for i := uint64(8); i < 16; i++ {
-			if got := r.Load(i); got != nw {
-				t.Fatalf("%s: epoch %d = %v, want %v", mode, i, got, nw)
-			}
-		}
-		if r.CompareAndSwapRange(0, 0, old, nw) != true {
-			t.Fatalf("%s: empty range CAS must trivially succeed", mode)
-		}
+	}
+	if r.CompareAndSwapRange(0, 0, old, nw) != true {
+		t.Fatalf("empty range CAS must trivially succeed")
 	}
 }
 
 func TestCompareAndSwapRangeAcrossPageBoundary(t *testing.T) {
-	for mode, mk := range regions() {
-		r := mk()
-		base := uint64(2*PageBytes - 4)
-		old := layout.Pack(1, 1)
-		nw := layout.Pack(1, 2)
-		r.StoreRange(base, 8, old)
-		if !r.CompareAndSwapRange(base, 8, old, nw) {
-			t.Fatalf("%s: crossing range CAS failed", mode)
-		}
-		for i := uint64(0); i < 8; i++ {
-			if got := r.Load(base + i); got != nw {
-				t.Fatalf("%s: epoch +%d = %v, want %v", mode, i, got, nw)
-			}
+	r := New()
+	base := uint64(2*PageBytes - 4)
+	old := layout.Pack(1, 1)
+	nw := layout.Pack(1, 2)
+	r.StoreRange(base, 8, old)
+	if !r.CompareAndSwapRange(base, 8, old, nw) {
+		t.Fatalf("crossing range CAS failed")
+	}
+	for i := uint64(0); i < 8; i++ {
+		if got := r.Load(base + i); got != nw {
+			t.Fatalf("epoch +%d = %v, want %v", i, got, nw)
 		}
 	}
 }
 
 func TestReset(t *testing.T) {
-	for mode, mk := range regions() {
-		r := mk()
-		r.Store(1, layout.Pack(1, 1))
-		r.Store(PageBytes*3, layout.Pack(2, 2))
-		if r.MappedPages() != 2 {
-			t.Fatalf("%s: MappedPages = %d, want 2", mode, r.MappedPages())
-		}
-		r.Reset()
-		if r.Load(1) != 0 || r.Load(PageBytes*3) != 0 {
-			t.Fatalf("%s: epochs survived Reset", mode)
-		}
-		if r.MappedPages() != 0 {
-			t.Fatalf("%s: pages survived Reset: %d", mode, r.MappedPages())
-		}
-		if r.Resets() != 1 {
-			t.Fatalf("%s: Resets = %d, want 1", mode, r.Resets())
-		}
-		// The last-page cache must not resurrect a dropped page.
-		if r.CompareAndSwap(1, layout.Pack(1, 1), layout.Pack(1, 9)) {
-			t.Fatalf("%s: CAS against a pre-Reset epoch succeeded", mode)
-		}
+	r := New()
+	r.Store(1, layout.Pack(1, 1))
+	r.Store(PageBytes*3, layout.Pack(2, 2))
+	if r.MappedPages() != 2 {
+		t.Fatalf("MappedPages = %d, want 2", r.MappedPages())
+	}
+	r.Reset()
+	if r.Load(1) != 0 || r.Load(PageBytes*3) != 0 {
+		t.Fatalf("epochs survived Reset")
+	}
+	if r.MappedPages() != 0 {
+		t.Fatalf("pages survived Reset: %d", r.MappedPages())
+	}
+	if r.Resets() != 1 {
+		t.Fatalf("Resets = %d, want 1", r.Resets())
+	}
+	// The last-page cache must not resurrect a dropped page.
+	if r.CompareAndSwap(1, layout.Pack(1, 1), layout.Pack(1, 9)) {
+		t.Fatalf("CAS against a pre-Reset epoch succeeded")
 	}
 }
 
@@ -332,20 +301,18 @@ func TestPagePoolRecycles(t *testing.T) {
 // Release must drive the region's share of the global live gauges back to
 // where it started, so long-lived service processes report flat curves.
 func TestGlobalGaugesReturnToBaseline(t *testing.T) {
-	for mode, mk := range regions() {
-		before := Global()
-		r := mk()
-		r.StoreRange(0, PageBytes*3, layout.Pack(1, 1))
-		r.Store(1, layout.Pack(2, 2))
-		mid := Global()
-		if mid.MappedPages < before.MappedPages+3 {
-			t.Fatalf("%s: mapped pages gauge did not grow: %+v -> %+v", mode, before, mid)
-		}
-		r.Release()
-		after := Global()
-		if after.MappedPages != before.MappedPages || after.LinesExpanded != before.LinesExpanded {
-			t.Fatalf("%s: gauges did not return to baseline: before=%+v after=%+v", mode, before, after)
-		}
+	before := Global()
+	r := New()
+	r.StoreRange(0, PageBytes*3, layout.Pack(1, 1))
+	r.Store(1, layout.Pack(2, 2))
+	mid := Global()
+	if mid.MappedPages < before.MappedPages+3 {
+		t.Fatalf("mapped pages gauge did not grow: %+v -> %+v", before, mid)
+	}
+	r.Release()
+	after := Global()
+	if after.MappedPages != before.MappedPages || after.LinesExpanded != before.LinesExpanded {
+		t.Fatalf("gauges did not return to baseline: before=%+v after=%+v", before, after)
 	}
 }
 
@@ -369,71 +336,24 @@ func TestStoreIsolationProperty(t *testing.T) {
 	}
 }
 
-// Property: the unsynchronized fast lane and the atomic variant compute
-// identical states for any serialized operation sequence.
-func TestModesAgreeProperty(t *testing.T) {
-	f := func(ops []struct {
-		Addr  uint16
-		N     uint8
-		Clock uint32
-		Kind  uint8
-	}) bool {
-		fast, slow := New(), NewConcurrent()
-		for _, op := range ops {
-			addr := uint64(op.Addr)
-			n := int(op.N%8) + 1
-			e := layout.Pack(int(op.Clock%7), op.Clock&layout.MaxClock())
-			switch op.Kind % 4 {
-			case 0:
-				fast.Store(addr, e)
-				slow.Store(addr, e)
-			case 1:
-				old := fast.Load(addr)
-				if fast.CompareAndSwap(addr, old, e) != slow.CompareAndSwap(addr, old, e) {
-					return false
-				}
-			case 2:
-				fast.StoreRange(addr, n, e)
-				slow.StoreRange(addr, n, e)
-			case 3:
-				old := fast.Load(addr)
-				if fast.CompareAndSwapRange(addr, n, old, e) != slow.CompareAndSwapRange(addr, n, old, e) {
-					return false
-				}
-			}
-			fe, feq, fl := fast.LoadAllEqual(addr, n)
-			se, seq, sl := slow.LoadAllEqual(addr, n)
-			if fe != se || feq != seq || fl != sl {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // The access path must be allocation-free once a page is mapped: this is
 // the zero-allocation guarantee the detector hot path builds on. The
 // compact-line paths are covered here (StoreRange(0,64) collapses line 0).
 func TestHotPathZeroAllocs(t *testing.T) {
-	for mode, mk := range regions() {
-		r := mk()
-		e := layout.Pack(1, 1)
-		r.StoreRange(0, 64, e)
-		checks := map[string]func(){
-			"Load":                func() { _ = r.Load(7) },
-			"Store":               func() { r.Store(7, e) },
-			"CompareAndSwap":      func() { r.CompareAndSwap(7, e, e) },
-			"LoadAllEqual":        func() { _, _, _ = r.LoadAllEqual(8, 8) },
-			"CompareAndSwapRange": func() { r.CompareAndSwapRange(8, 8, e, e) },
-			"StoreRange":          func() { r.StoreRange(8, 8, e) },
-		}
-		for name, fn := range checks {
-			if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
-				t.Errorf("%s: %s allocates %.1f per op, want 0", mode, name, allocs)
-			}
+	r := New()
+	e := layout.Pack(1, 1)
+	r.StoreRange(0, 64, e)
+	checks := map[string]func(){
+		"Load":                func() { _ = r.Load(7) },
+		"Store":               func() { r.Store(7, e) },
+		"CompareAndSwap":      func() { r.CompareAndSwap(7, e, e) },
+		"LoadAllEqual":        func() { _, _, _ = r.LoadAllEqual(8, 8) },
+		"CompareAndSwapRange": func() { r.CompareAndSwapRange(8, 8, e, e) },
+		"StoreRange":          func() { r.StoreRange(8, 8, e) },
+	}
+	for name, fn := range checks {
+		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+			t.Errorf("%s allocates %.1f per op, want 0", name, allocs)
 		}
 	}
 }
@@ -477,143 +397,112 @@ func TestResetRecycleZeroAllocs(t *testing.T) {
 	}
 }
 
-// Concurrent CAS from many goroutines: exactly one writer per round wins,
-// and the final value is one of the proposed epochs. This exercises the
-// §4.3 atomicity argument with real concurrency, on the concurrent
-// (atomic) variant of the region.
-func TestConcurrentCASSingleWinner(t *testing.T) {
-	r := NewConcurrent()
-	const writers = 16
-	const rounds = 200
-	for round := 0; round < rounds; round++ {
-		old := r.Load(42)
-		var wg sync.WaitGroup
-		wins := make([]bool, writers)
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				wins[w] = r.CompareAndSwap(42, old, layout.Pack(w%255, uint32(round+1)))
-			}(w)
-		}
-		wg.Wait()
-		won := 0
-		for _, ok := range wins {
-			if ok {
-				won++
+// Regions on different goroutines share only the page pool and the
+// global gauges — cleand's sharing pattern, one machine per worker. Each
+// goroutine owns a region and stores, resets and releases it while
+// another polls Global; once every region is released the live gauges
+// must be back at their baseline. Run under -race in CI.
+func TestConcurrentRegionsSharePoolStress(t *testing.T) {
+	before := Global()
+	const workers = 8
+	stop := make(chan struct{})
+	var poller sync.WaitGroup
+	poller.Add(1)
+	go func() {
+		defer poller.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if g := Global(); g.MappedPages < 0 || g.MetadataBytes < 0 {
+					t.Errorf("negative gauge: %+v", g)
+					return
+				}
 			}
 		}
-		if won != 1 {
-			t.Fatalf("round %d: %d winners, want exactly 1", round, won)
-		}
-	}
-}
-
-// Concurrent mixed traffic on the atomic variant: goroutines hammer
-// disjoint and overlapping pages while another goroutine polls footprint.
-// Run under -race in CI; the assertions only check basic sanity.
-func TestConcurrentMixedStress(t *testing.T) {
-	r := NewConcurrent()
-	const workers = 8
+	}()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			base := uint64(w) * PageBytes / 2 // overlapping pages
-			e := layout.Pack(w, 1)
-			for i := 0; i < 500; i++ {
-				r.StoreRange(base+uint64(i%64)*8, 8, e)
-				if got, eq, _ := r.LoadAllEqual(base, 8); eq && got != 0 && layout.Clock(got) == 0 {
-					t.Errorf("epoch with zero clock observed: %v", got)
+			r := New()
+			defer r.Release()
+			e1, e2 := layout.Pack(w+1, 1), layout.Pack(w+1, 2)
+			for i := 0; i < 200; i++ {
+				base := uint64(i%4) * PageBytes
+				r.StoreRange(base, 2*LineBytes, e1)
+				r.Store(base+uint64(w), e2) // diverge: expand a line
+				if got := r.Load(base + uint64(w)); got != e2 {
+					t.Errorf("worker %d: Load = %v, want %v", w, got, e2)
 					return
 				}
-				r.CompareAndSwap(base, r.Load(base), e)
+				if i%10 == 9 {
+					r.Reset()
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if r.MappedPages() == 0 {
-		t.Fatal("no pages mapped after stress")
+	close(stop)
+	poller.Wait()
+	after := Global()
+	if after.MappedPages != before.MappedPages || after.LinesExpanded != before.LinesExpanded ||
+		after.MetadataBytes != before.MetadataBytes {
+		t.Fatalf("gauges did not return to baseline: before=%+v after=%+v", before, after)
 	}
-}
-
-func benchRegion(mode string) *Region {
-	if mode == "concurrent" {
-		return NewConcurrent()
-	}
-	return New()
 }
 
 func BenchmarkLoad(b *testing.B) {
-	for _, mode := range []string{"unsync", "concurrent"} {
-		b.Run(mode, func(b *testing.B) {
-			r := benchRegion(mode)
-			r.Store(100, layout.Pack(1, 1))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = r.Load(100)
-			}
-		})
+	r := New()
+	r.Store(100, layout.Pack(1, 1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = r.Load(100)
 	}
 }
 
 func BenchmarkLoadAllEqual8(b *testing.B) {
-	for _, mode := range []string{"unsync", "concurrent"} {
-		b.Run(mode, func(b *testing.B) {
-			r := benchRegion(mode)
-			r.StoreRange(100, 8, layout.Pack(1, 1))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, _, _ = r.LoadAllEqual(100, 8)
-			}
-		})
+	r := New()
+	r.StoreRange(100, 8, layout.Pack(1, 1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _, _ = r.LoadAllEqual(100, 8)
 	}
 }
 
 func BenchmarkCAS(b *testing.B) {
-	for _, mode := range []string{"unsync", "concurrent"} {
-		b.Run(mode, func(b *testing.B) {
-			r := benchRegion(mode)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e := layout.Pack(1, uint32(i)&layout.MaxClock())
-				r.CompareAndSwap(100, r.Load(100), e)
-			}
-		})
+	r := New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := layout.Pack(1, uint32(i)&layout.MaxClock())
+		r.CompareAndSwap(100, r.Load(100), e)
 	}
 }
 
 func BenchmarkCASRange8(b *testing.B) {
-	for _, mode := range []string{"unsync", "concurrent"} {
-		b.Run(mode, func(b *testing.B) {
-			r := benchRegion(mode)
-			prev := vclock.Epoch(0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e := layout.Pack(1, uint32(i+1)&layout.MaxClock())
-				r.CompareAndSwapRange(256, 8, prev, e)
-				prev = e
-			}
-		})
+	r := New()
+	prev := vclock.Epoch(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := layout.Pack(1, uint32(i+1)&layout.MaxClock())
+		r.CompareAndSwapRange(256, 8, prev, e)
+		prev = e
 	}
 }
 
 func BenchmarkStoreRange8(b *testing.B) {
-	for _, mode := range []string{"unsync", "concurrent"} {
-		b.Run(mode, func(b *testing.B) {
-			r := benchRegion(mode)
-			e := layout.Pack(1, 1)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.StoreRange(512, 8, e)
-			}
-		})
+	r := New()
+	e := layout.Pack(1, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.StoreRange(512, 8, e)
 	}
 }
 

@@ -38,8 +38,9 @@
 // happens-before mechanism the lockset abstraction cannot see: a sound
 // must-happen-before closure over program order and schedule-independent
 // channel edges upgrades ordered pairs to RaceFree (see chanorder.go),
-// and the witness check swaps the symbolic lock argument for an exact
-// interpretation of the two sequential schedules (see seqsim.go).
+// and the witness check swaps the symbolic lock argument for a machine
+// run of the two sequential schedules — the very run a witness replay
+// performs — that reads off the vector clock of every executed access.
 // Channel-free programs keep the original symbolic path bit for bit.
 //
 // Verdicts carry WAW/RAW/WAR kind attribution in machine.RaceKind terms,
@@ -54,6 +55,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/prog"
+	"repro/internal/vclock"
 )
 
 // Verdict classifies a pair (or a whole program).
@@ -263,14 +265,14 @@ func Analyze(p *prog.Program) *Report {
 		rep.Accesses = append(rep.Accesses, f.accesses...)
 	}
 
-	// Channel programs use the must-happen-before closure and the exact
-	// schedule interpreter; channel-free programs keep the symbolic path
-	// (identical output to the pre-channel analyzer).
+	// Channel programs use the must-happen-before closure and machine
+	// runs of the witness schedules; channel-free programs keep the
+	// symbolic path (identical output to the pre-channel analyzer).
 	var ord *opOrder
-	var sims map[[2]int]simOutcome
+	var runs map[[2]int]accessClocks
 	if len(p.Chans) > 0 {
 		ord = mustOrder(p)
-		sims = map[[2]int]simOutcome{}
+		runs = map[[2]int]accessClocks{}
 	}
 
 	for ta := 0; ta < len(facts); ta++ {
@@ -282,7 +284,7 @@ func Analyze(p *prog.Program) *Report {
 						continue
 					}
 					if ord != nil {
-						rep.Pairs = append(rep.Pairs, classifyChan(p, a, b, ord, sims))
+						rep.Pairs = append(rep.Pairs, classifyChan(p, a, b, ord, runs))
 					} else {
 						rep.Pairs = append(rep.Pairs, classify(a, b, facts[ta], facts[tb]))
 					}
@@ -325,11 +327,11 @@ func classify(a, b Access, fa, fb threadFacts) Pair {
 // classifyChan produces the verdict for one pair of a program with
 // channels. Common locks still prove mutual exclusion; the channel
 // must-happen-before closure proves ordering; otherwise the two
-// sequential witness schedules are interpreted exactly, and a schedule
+// sequential witness schedules are run on the machine, and a schedule
 // that executes both accesses with concurrent clocks is a replayable
-// MustRace witness. An ambiguous simulation (multi-waiter mutex wake)
-// proves nothing and the pair stays MayRace.
-func classifyChan(p *prog.Program, a, b Access, ord *opOrder, sims map[[2]int]simOutcome) Pair {
+// MustRace witness: its replay under a precise detector raises on this
+// pair, or on an earlier unordered pair that stops the machine first.
+func classifyChan(p *prog.Program, a, b Access, ord *opOrder, runs map[[2]int]accessClocks) Pair {
 	pair := Pair{A: a, B: b, WitnessFirst: -1}
 	if a.Write && b.Write {
 		pair.Kinds = []machine.RaceKind{machine.WAW}
@@ -347,27 +349,17 @@ func classifyChan(p *prog.Program, a, b Access, ord *opOrder, sims map[[2]int]si
 		pair.ChanOrdered = true
 		return pair
 	}
-	simFor := func(first, second int) simOutcome {
-		key := [2]int{first, second}
-		out, ok := sims[key]
-		if !ok {
-			out = simulateSequential(p, first, second)
-			sims[key] = out
-		}
-		return out
-	}
 	for _, first := range []int{a.Thread, b.Thread} {
-		second := b.Thread
-		if first == b.Thread {
-			second = a.Thread
+		second := a.Thread + b.Thread - first
+		key := [2]int{first, second}
+		clocks, ok := runs[key]
+		if !ok {
+			clocks = sequentialClocks(p, first, second)
+			runs[key] = clocks
 		}
-		out := simFor(first, second)
-		if out.ambiguous {
-			continue
-		}
-		avc, aok := out.find(a.Thread, a.Index)
-		bvc, bok := out.find(b.Thread, b.Index)
-		if aok && bok && unorderedVCs(avc, bvc) {
+		avc, aok := clocks[[2]int{a.Thread, a.Index}]
+		bvc, bok := clocks[[2]int{b.Thread, b.Index}]
+		if aok && bok && !avc.HappensBefore(bvc) && !bvc.HappensBefore(avc) {
 			pair.Verdict = MustRace
 			pair.WitnessFirst = first
 			return pair
@@ -375,6 +367,50 @@ func classifyChan(p *prog.Program, a, b Access, ord *opOrder, sims map[[2]int]si
 	}
 	pair.Verdict = MayRace
 	return pair
+}
+
+// accessClocks maps (worker, op index) to the vector clock the access
+// carried in one machine run; accesses that never executed are absent.
+type accessClocks map[[2]int]vclock.VC
+
+// sequentialClocks runs p under prog.SequentialPicker(first, second) —
+// the exact call a witness replay makes — and returns the clock of every
+// access that executed (a deadlocked run yields the executed prefix).
+func sequentialClocks(p *prog.Program, first, second int) accessClocks {
+	rec := &clockRecorder{p: p, seen: make([]int, len(p.Threads)), clocks: accessClocks{}}
+	p.RunPicked(prog.SequentialPicker(first, second), rec)
+	return rec.clocks
+}
+
+// clockRecorder is a machine.Detector that never raises: it snapshots
+// the accessing thread's vector clock at every shared access. Worker w
+// runs as machine thread w+1, and its k-th access is the k-th Read or
+// Write op of p.Threads[w].
+type clockRecorder struct {
+	p      *prog.Program
+	seen   []int // accesses executed so far, per worker
+	clocks accessClocks
+}
+
+func (r *clockRecorder) Name() string { return "staticrace-clocks" }
+
+func (r *clockRecorder) Reset() {}
+
+func (r *clockRecorder) OnAccess(t *machine.Thread, addr uint64, size int, write bool) error {
+	w := t.ID - 1
+	k := r.seen[w]
+	r.seen[w]++
+	for i, o := range r.p.Threads[w] {
+		if o.Kind != prog.Read && o.Kind != prog.Write {
+			continue
+		}
+		if k == 0 {
+			r.clocks[[2]int{w, i}] = t.VC.Copy()
+			break
+		}
+		k--
+	}
+	return nil
 }
 
 // orderedSequential reports whether, in the schedule that runs first's
