@@ -304,6 +304,14 @@ const MaxGoSourceBytes = 1 << 20
 
 // JobSpec describes one detection job. Exactly one of Program, Litmus,
 // Workload and GoSource must be set.
+//
+// Beyond Validate, the server resolves every job at submission and
+// rejects with 400 (carrying the error text a run would have raised)
+// a job no run could accept: an unknown workload name or scale, a
+// "modified" variant the workload lacks, a per-job Detection the
+// session's config rules out (fasttrack with disable_multibyte_opt),
+// and in a predict session a workload or scheduled job without a
+// per-job override.
 type JobSpec struct {
 	// Program is a program in the internal/prog text format ("region N" /
 	// "locks N" / "thread" / per-op lines).

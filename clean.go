@@ -39,11 +39,14 @@ package clean
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/fasttrack"
 	"repro/internal/machine"
+	"repro/internal/predict"
+	"repro/internal/prog"
 	"repro/internal/telemetry"
 	"repro/internal/tsanlite"
 	"repro/internal/vclock"
@@ -100,8 +103,8 @@ type (
 	// MetricsSnapshot is the serialized state of a Metrics registry.
 	MetricsSnapshot = telemetry.Snapshot
 	// RunReport is the schema-versioned machine-readable record of one
-	// run; RunWorkload fills Report.Telemetry with one when Config.Metrics
-	// is set.
+	// run; Run fills Report.Telemetry with one when Config.Metrics is
+	// set.
 	RunReport = telemetry.RunReport
 )
 
@@ -154,9 +157,7 @@ const (
 	// correct reorderings would exhibit, each certified by replaying its
 	// witness schedule through the CLEAN detector. As a machine-attached
 	// detector it behaves like DetectCLEAN (certification replays run
-	// CLEAN); the prediction pipeline itself drives recording and replay
-	// through the entry points that accept it (cleanvet -dynamic,
-	// cleanrun -detect predict, predict service jobs, internal/predict).
+	// CLEAN); Run dispatches the prediction pipeline.
 	DetectPredict
 
 	// numDetections is the sentinel one past the last valid mode. Every
@@ -263,12 +264,20 @@ func (c Config) detector() machine.Detector {
 // detection mode, a bad epoch layout) no longer silently defaults —
 // Run fails with a structured *MachineError (ErrConfig) describing it.
 func NewMachine(cfg Config) *Machine {
+	m, _ := newMachine(cfg)
+	return m
+}
+
+// newMachine is NewMachine that also returns the detector it attached
+// (nil for an invalid cfg).
+func newMachine(cfg Config) (*Machine, Detector) {
 	if err := cfg.Validate(); err != nil {
 		m := NewMachineWithDetector(cfg, nil)
 		m.FailEarly(&MachineError{Kind: ErrConfig, TID: -1, Op: "config", Msg: err.Error()})
-		return m
+		return m, nil
 	}
-	return NewMachineWithDetector(cfg, cfg.detector())
+	det := cfg.detector()
+	return NewMachineWithDetector(cfg, det), det
 }
 
 // Detector is the race-detection plug-in interface; the built-in choices
@@ -321,14 +330,48 @@ func Workloads() []WorkloadInfo {
 	return out
 }
 
-// Report is the outcome of RunWorkload.
+// Target builds the program a run executes on a fresh machine: Build
+// returns the root thread and the region the determinism hash covers.
+// Name, Scale and Variant label the run's RunReport. Build programs with
+// ProgramTarget and benchmark stand-ins with WorkloadTarget.
+type Target = predict.Target
+
+// ProgramTarget adapts an IR program (internal/prog); the determinism
+// hash covers its shared region and its RunReport names it "prog".
+func ProgramTarget(p *prog.Program) Target { return predict.ProgramTarget(p) }
+
+// WorkloadTarget resolves one benchmark stand-in by name. scale is
+// "test", "simsmall", "simlarge" or "native"; modified selects the
+// race-free variant (§6.1). An unknown name or scale, or a modified
+// variant the workload lacks (canneal), is an error.
+func WorkloadTarget(name, scale string, modified bool) (Target, error) {
+	w, ok := workloads.ByName(name)
+	if !ok {
+		return Target{}, &UnknownWorkloadError{Name: name}
+	}
+	sc, err := workloads.ParseScale(scale)
+	if err != nil {
+		return Target{}, err
+	}
+	variant := workloads.Unmodified
+	if modified {
+		if !w.HasModified {
+			return Target{}, fmt.Errorf("clean: workload %s has no modified variant", name)
+		}
+		variant = workloads.Modified
+	}
+	return predict.WorkloadTarget(w, sc, variant), nil
+}
+
+// Report is the outcome of Run.
 type Report struct {
 	// Err is nil for a completed execution, a *RaceError for a race
-	// exception, or a *DeadlockError.
+	// exception, or a *DeadlockError. In predict mode it is the
+	// recording's error.
 	Err error
 	// Stats are the machine counters.
 	Stats Stats
-	// OutputHash fingerprints the workload's output region (only for
+	// OutputHash fingerprints the target's hashed region (only for
 	// completed executions); under DeterministicSync it is identical
 	// across seeds.
 	OutputHash uint64
@@ -340,27 +383,31 @@ type Report struct {
 	// Telemetry is the schema-versioned run report, filled when
 	// Config.Metrics was set; Telemetry.Encode renders it as JSON.
 	Telemetry *RunReport
+	// Predict is the prediction result of a DetectPredict run; the
+	// other fields then stay zero apart from Err and Elapsed.
+	Predict *predict.Result
 }
 
-// RunWorkload builds and runs one benchmark stand-in. scale is "test",
-// "simsmall", "simlarge" or "native"; modified selects the race-free
-// variant (§6.1).
-func RunWorkload(name, scale string, modified bool, cfg Config) (*Report, error) {
-	w, ok := workloads.ByName(name)
-	if !ok {
-		return nil, &UnknownWorkloadError{Name: name}
+// Run executes the target once under cfg and summarises the run. It is
+// the one run path: RunWorkload, DiagnoseWorkload, cleanrun and the
+// detection service all go through it. An invalid cfg fails the run
+// with an ErrConfig *MachineError, as NewMachine does. Under
+// DetectPredict, Run records the target under cfg.Seed and predicts
+// races in the recording's sync-preserving reorderings
+// (internal/predict); Report.Predict holds the certified predictions.
+func Run(t Target, cfg Config) *Report {
+	if cfg.Detection == DetectPredict {
+		start := time.Now()
+		res := predict.Run(t, predict.Options{Seed: cfg.Seed, MaxSteps: cfg.MaxSteps})
+		return &Report{Err: res.Recording.Err, Elapsed: time.Since(start), Predict: res}
 	}
-	sc, err := workloads.ParseScale(scale)
-	if err != nil {
-		return nil, err
-	}
-	variant := workloads.Unmodified
-	if modified {
-		variant = workloads.Modified
-	}
-	det := cfg.detector()
-	m := NewMachineWithDetector(cfg, det)
-	root, out := w.Build(m, sc, variant)
+	m, det := newMachine(cfg)
+	// Recycle the detector's shadow pages once the report is built
+	// (deferred so a panic cannot leak the footprint gauges): back-to-back
+	// runs, the service's steady state, then serve from the pool instead
+	// of the garbage collector.
+	defer m.ReleaseMetadata()
+	root, hashAddr, hashLen := t.Build(m)
 	start := time.Now()
 	runErr := m.Run(root)
 	rep := &Report{
@@ -370,20 +417,20 @@ func RunWorkload(name, scale string, modified bool, cfg Config) (*Report, error)
 		Elapsed:       time.Since(start),
 	}
 	if runErr == nil {
-		rep.OutputHash = m.HashMem(out.Addr, out.Len)
+		rep.OutputHash = m.HashMem(hashAddr, hashLen)
 	}
 	if cd, ok := det.(*core.Detector); ok {
 		cd.Stats().PublishTo(cfg.Metrics)
 	}
 	if cfg.Metrics != nil {
 		tr := telemetry.NewRunReport()
-		tr.Workload = name
-		tr.Scale = sc.String()
-		tr.Variant = variant.String()
+		tr.Workload = t.Name
+		tr.Scale = t.Scale
+		tr.Variant = t.Variant
 		tr.Detector = cfg.Detection.String()
 		tr.Seed = cfg.Seed
 		tr.DetSync = cfg.DeterministicSync
-		tr.Outcome = classifyOutcome(runErr)
+		tr.Outcome = OutcomeOf(runErr)
 		if runErr != nil {
 			tr.Error = runErr.Error()
 		} else {
@@ -393,11 +440,17 @@ func RunWorkload(name, scale string, modified bool, cfg Config) (*Report, error)
 		tr.Metrics = cfg.Metrics.Snapshot()
 		rep.Telemetry = tr
 	}
-	// The detector is unreachable past this point: recycle its shadow
-	// pages so back-to-back workload runs (the service's steady state)
-	// serve from the pool instead of the garbage collector.
-	m.ReleaseMetadata()
-	return rep, nil
+	return rep
+}
+
+// RunWorkload builds and runs one benchmark stand-in: WorkloadTarget
+// plus Run.
+func RunWorkload(name, scale string, modified bool, cfg Config) (*Report, error) {
+	t, err := WorkloadTarget(name, scale, modified)
+	if err != nil {
+		return nil, err
+	}
+	return Run(t, cfg), nil
 }
 
 // String names the detector choice for reports and CLIs.
@@ -417,12 +470,9 @@ func (d Detection) String() string {
 
 // OutcomeOf maps a Run error to the RunReport outcome vocabulary
 // ("completed", "race-exception", "deadlock", "livelock",
-// "contained-crash", "error"); RunWorkload, the CLIs and the detection
-// service all classify through it.
-func OutcomeOf(err error) string { return classifyOutcome(err) }
-
-// classifyOutcome maps a Run error to the RunReport outcome vocabulary.
-func classifyOutcome(err error) string {
+// "contained-crash", "error"); Run, the CLIs, the harness and the
+// detection service all classify through it.
+func OutcomeOf(err error) string {
 	var race *RaceError
 	var dead *DeadlockError
 	var live *LivelockError

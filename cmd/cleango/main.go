@@ -196,6 +196,19 @@ func confirmVerdict(p *gofront.Program, rep *staticrace.Report, maxruns int) boo
 	}
 }
 
+// parseDetection maps -det to a detector. Predict is no run or explore
+// detector: it records and certifies through cleanvet -go FILE -dynamic.
+func parseDetection(name string) clean.Detection {
+	d, err := clean.ParseDetection(name)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if d == clean.DetectPredict {
+		log.Fatal("-det predict is not supported here; predict races with cleanvet -go FILE -dynamic")
+	}
+	return d
+}
+
 func cmdRun(args []string) {
 	fs := flag.NewFlagSet("cleango run", flag.ExitOnError)
 	det := fs.String("det", "clean", "detector: none, clean, fasttrack, tsanlite")
@@ -205,10 +218,7 @@ func cmdRun(args []string) {
 	fs.Parse(args)
 	p := load(fs)
 
-	detection, err := clean.ParseDetection(*det)
-	if err != nil {
-		log.Fatal(err)
-	}
+	detection := parseDetection(*det)
 	cfg, err := clean.NewConfig(clean.WithDetection(detection), clean.WithSeed(*seed), clean.WithDeterministicSync(*detsync))
 	if err != nil {
 		log.Fatal(err)
@@ -281,10 +291,7 @@ func cmdExplore(args []string) {
 	fs.Parse(args)
 	p := load(fs)
 
-	detection, err := clean.ParseDetection(*det)
-	if err != nil {
-		log.Fatal(err)
-	}
+	detection := parseDetection(*det)
 	// The explorer enumerates schedules itself; the seed only satisfies
 	// the facade's explicit-seed rule and never reaches the scheduler.
 	cfg, err := clean.NewConfig(clean.WithDetection(detection), clean.WithSeed(0))

@@ -27,9 +27,7 @@ import (
 	apiv1 "repro/api/v1"
 	"repro/internal/faults"
 	"repro/internal/harness"
-	"repro/internal/predict"
 	"repro/internal/service"
-	"repro/internal/workloads"
 )
 
 func main() {
@@ -74,12 +72,8 @@ func main() {
 		return
 	}
 
-	if detection == clean.DetectPredict {
-		if *faultStr != "" || *diagnose || *timeline != "" || *report != "" {
-			log.Fatal("-det predict supports plain runs only (no -faults, -diagnose, -timeline, -report)")
-		}
-		runPredict(*name, *scale, *variant, *seed, *maxSteps)
-		return
+	if detection == clean.DetectPredict && (*faultStr != "" || *diagnose || *timeline != "" || *report != "") {
+		log.Fatal("-det predict supports plain runs only (no -faults, -diagnose, -timeline, -report)")
 	}
 
 	if *faultStr != "" {
@@ -113,6 +107,10 @@ func main() {
 	rep, err := clean.RunWorkload(*name, *scale, *variant == "modified", cfg)
 	if err != nil {
 		log.Fatal(err)
+	}
+	if rep.Predict != nil {
+		printPrediction(*name, *scale, *variant, *seed, rep)
+		return
 	}
 	if *timeline != "" {
 		if err := writeTimeline(*timeline, tl); err != nil {
@@ -290,25 +288,12 @@ func writeReport(path string, rep *clean.RunReport) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// runPredict executes the workload once under the seeded recorder, then
-// predicts races in the recorded run's sync-preserving reorderings and
-// certifies each by replaying its witness schedule against the CLEAN
-// detector (internal/predict). Exit 2 when any prediction certifies.
-func runPredict(name, scale, variant string, seed int64, maxSteps uint64) {
-	w, ok := workloads.ByName(name)
-	if !ok {
-		log.Fatalf("unknown workload %q (see -list)", name)
-	}
-	sc, err := workloads.ParseScale(scale)
-	if err != nil {
-		log.Fatal(err)
-	}
-	v := workloads.Unmodified
-	if variant == "modified" {
-		v = workloads.Modified
-	}
-	res := predict.Run(predict.WorkloadTarget(w, sc, v), predict.Options{Seed: seed, MaxSteps: maxSteps})
-
+// printPrediction prints a predict-mode run: the recording's size and
+// the races predicted in its sync-preserving reorderings, each certified
+// by replaying its witness schedule against the CLEAN detector. Exit 2
+// when any prediction certifies.
+func printPrediction(name, scale, variant string, seed int64, rep *clean.Report) {
+	res := rep.Predict
 	fmt.Printf("workload:   %s (%s, %s)\n", name, scale, variant)
 	fmt.Printf("detector:   predict   seed: %d\n", seed)
 	if res.Recording.Err != nil {

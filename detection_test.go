@@ -1,8 +1,13 @@
 package clean
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+
+	apiv1 "repro/api/v1"
+	"repro/internal/predict"
+	"repro/internal/prog"
 )
 
 // TestDetectionEnumInSync pins the invariant that makes ParseDetection's
@@ -62,5 +67,24 @@ func TestPredictModeThroughOptions(t *testing.T) {
 	}
 	if got := DetectPredict.String(); got != "predict" {
 		t.Fatalf("DetectPredict.String() = %q", got)
+	}
+
+	// Run dispatches predict itself: its prediction encodes byte for byte
+	// like the pipeline called directly under the same seed.
+	p := prog.LitmusByName("waw").P
+	rep := Run(ProgramTarget(p), cfg)
+	if rep.Err != nil || rep.Predict == nil || len(rep.Predict.Predictions) == 0 {
+		t.Fatalf("Run(waw, predict): err %v, no certified predictions", rep.Err)
+	}
+	got, err := apiv1.Encode(rep.Predict.V1(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := apiv1.Encode(predict.Run(predict.ProgramTarget(p), predict.Options{Seed: 1}).V1(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("Run(waw, predict) predictions differ from predict.Run:\n%s\nwant\n%s", got, want)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/tsanlite"
-	"repro/internal/workloads"
 )
 
 // Diagnosis is the result of DiagnoseWorkload: the paper's §3.1 debugging
@@ -38,24 +37,14 @@ type Diagnosis struct {
 // combined. Determinism makes the re-runs meaningful: with cfg's seed
 // fixed, all three runs observe the same execution prefix.
 func DiagnoseWorkload(name, scale string, modified bool, cfg Config) (*Diagnosis, error) {
-	w, ok := workloads.ByName(name)
-	if !ok {
-		return nil, &UnknownWorkloadError{Name: name}
-	}
-	sc, err := workloads.ParseScale(scale)
+	t, err := WorkloadTarget(name, scale, modified)
 	if err != nil {
 		return nil, err
 	}
-	variant := workloads.Unmodified
-	if modified {
-		variant = workloads.Modified
-	}
 
 	// 1. Production run under CLEAN.
-	first := NewMachine(cfg)
-	root, _ := w.Build(first, sc, variant)
-	runErr := first.Run(root)
 	d := &Diagnosis{}
+	runErr := Run(t, cfg).Err
 	if runErr == nil {
 		return d, nil
 	}
@@ -65,18 +54,14 @@ func DiagnoseWorkload(name, scale string, modified bool, cfg Config) (*Diagnosis
 
 	// 2. Monitor-mode CLEAN on the same schedule: all WAW/RAW races.
 	mon := core.New(core.Config{Layout: cfg.layout(), Monitor: true})
-	m2 := NewMachineWithDetector(cfg, mon)
-	root2, _ := w.Build(m2, sc, variant)
-	if err := m2.Run(root2); err != nil {
+	if err := runWith(t, cfg, mon); err != nil {
 		return nil, err
 	}
 	d.AllWAWRAW = mon.Races()
 
 	// 3. Imprecise WAR scan on the same schedule.
 	ts := tsanlite.New(tsanlite.Config{Layout: cfg.layout(), Monitor: true})
-	m3 := NewMachineWithDetector(cfg, ts)
-	root3, _ := w.Build(m3, sc, variant)
-	if err := m3.Run(root3); err != nil {
+	if err := runWith(t, cfg, ts); err != nil {
 		return nil, err
 	}
 	for _, r := range ts.Races() {
@@ -85,4 +70,12 @@ func DiagnoseWorkload(name, scale string, modified bool, cfg Config) (*Diagnosis
 		}
 	}
 	return d, nil
+}
+
+// runWith runs the target once with a caller-supplied (monitor-mode)
+// detector.
+func runWith(t Target, cfg Config, det Detector) error {
+	m := NewMachineWithDetector(cfg, det)
+	root, _, _ := t.Build(m)
+	return m.Run(root)
 }

@@ -1,34 +1,10 @@
 package harness
 
 import (
-	"errors"
-
-	"repro/internal/machine"
+	clean "repro"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
-
-// classifyOutcome maps a machine.Run error to the RunReport outcome
-// vocabulary shared with the resilience experiment.
-func classifyOutcome(err error) string {
-	var race *machine.RaceError
-	var dead *machine.DeadlockError
-	var live *machine.LivelockError
-	var merr *machine.MachineError
-	switch {
-	case err == nil:
-		return "completed"
-	case errors.As(err, &race):
-		return "race-exception"
-	case errors.As(err, &dead):
-		return "deadlock"
-	case errors.As(err, &live):
-		return "livelock"
-	case errors.As(err, &merr):
-		return "contained-crash"
-	}
-	return "error"
-}
 
 // buildRunReport assembles the machine-readable record of one harness run:
 // identity, outcome, and the registry snapshot (which already carries the
@@ -42,7 +18,7 @@ func buildRunReport(wl workloads.Workload, scale workloads.Scale, variant worklo
 	rep.Detector = detector
 	rep.Seed = seed
 	rep.DetSync = detSync
-	rep.Outcome = classifyOutcome(res.err)
+	rep.Outcome = clean.OutcomeOf(res.err)
 	if res.err != nil {
 		rep.Error = res.err.Error()
 	} else {

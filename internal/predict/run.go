@@ -13,15 +13,18 @@ import (
 // and every certification replay call Build once each; it must be
 // deterministic (same allocations, same spawn structure under the same
 // schedule). hashLen bytes at hashAddr are hashed for the certification
-// determinism check (hashLen 0 disables the memory hash).
+// determinism check (hashLen 0 disables the memory hash). Name, Scale and
+// Variant label the target in run reports.
 type Target struct {
 	Build func(m *machine.Machine) (root func(*machine.Thread), hashAddr uint64, hashLen int)
+
+	Name, Scale, Variant string
 }
 
 // ProgramTarget adapts an IR program; the determinism hash covers its
 // shared region.
 func ProgramTarget(p *prog.Program) Target {
-	return Target{Build: func(m *machine.Machine) (func(*machine.Thread), uint64, int) {
+	return Target{Name: "prog", Build: func(m *machine.Machine) (func(*machine.Thread), uint64, int) {
 		root, base := p.Build(m)
 		return root, base, p.Region
 	}}
@@ -30,10 +33,13 @@ func ProgramTarget(p *prog.Program) Target {
 // WorkloadTarget adapts a benchmark stand-in; the determinism hash
 // covers its output region.
 func WorkloadTarget(w workloads.Workload, scale workloads.Scale, variant workloads.Variant) Target {
-	return Target{Build: func(m *machine.Machine) (func(*machine.Thread), uint64, int) {
-		root, out := w.Build(m, scale, variant)
-		return root, out.Addr, out.Len
-	}}
+	return Target{
+		Name: w.Name, Scale: scale.String(), Variant: variant.String(),
+		Build: func(m *machine.Machine) (func(*machine.Thread), uint64, int) {
+			root, out := w.Build(m, scale, variant)
+			return root, out.Addr, out.Len
+		},
+	}
 }
 
 // Defaults for Options zero values.

@@ -43,7 +43,6 @@ import (
 	"repro/internal/gofront"
 	"repro/internal/harness"
 	"repro/internal/machine"
-	"repro/internal/predict"
 	"repro/internal/prog"
 	"repro/internal/shadow"
 	"repro/internal/staticrace"
@@ -140,7 +139,6 @@ func badRequest(format string, args ...interface{}) error {
 type session struct {
 	id        string
 	cfg       apiv1.SessionConfig
-	detection clean.Detection
 	state     string // "active" or "closed"
 	jobs      map[string]*job
 	byKey     map[string]*job // idempotency key → job
@@ -155,8 +153,10 @@ type job struct {
 	spec     apiv1.JobSpec
 	idemKey  string
 	prog     *prog.Program // resolved program for program/litmus jobs
-	state    string        // apiv1.JobQueued / JobRunning / JobDone
-	attempts int           // executions started (2 after a panic requeue)
+	cfg      clean.Config  // resolved at submission; runs vary only the seed
+	target   clean.Target
+	state    string // apiv1.JobQueued / JobRunning / JobDone
+	attempts int    // executions started (2 after a panic requeue)
 	accepted time.Time
 	deadline time.Time // zero = no wall-clock deadline
 	panicVal interface{}
@@ -288,13 +288,10 @@ func (s *Server) recover(st *store.State) []*job {
 			jobs:  make(map[string]*job),
 			byKey: make(map[string]*job),
 		}
-		det, err := clean.ParseDetection(sr.Config.Detection)
-		if err != nil {
+		if _, err := clean.ParseDetection(sr.Config.Detection); err != nil {
 			// The journal predates a detector rename; the session cannot
 			// run new jobs but its documents stay readable.
 			sess.state = "closed"
-		} else {
-			sess.detection = det
 		}
 		s.sessions[sess.id] = sess
 	}
@@ -333,7 +330,11 @@ func (s *Server) recover(st *store.State) []*job {
 			close(j.done)
 		default: // queued or running at crash time: run it (again)
 			j.state = apiv1.JobQueued
-			if p, err := s.resolveSpec(j.spec); err != nil {
+			var err error
+			if j.prog, err = s.resolveSpec(j.spec); err == nil {
+				j.cfg, j.target, err = s.resolveRun(sess, j.spec, j.prog)
+			}
+			if err != nil {
 				j.state = apiv1.JobDone
 				j.runs = []apiv1.RunResult{{
 					Outcome: apiv1.OutcomeError,
@@ -342,7 +343,6 @@ func (s *Server) recover(st *store.State) []*job {
 				sess.done++
 				close(j.done)
 			} else {
-				j.prog = p
 				// The original trace died with the crash; the re-run's
 				// trace starts at the re-enqueue.
 				j.mark(phaseQueued, j.accepted)
@@ -433,7 +433,7 @@ func (s *Server) CreateSession(cfg apiv1.SessionConfig) (*apiv1.Session, error) 
 	if err != nil {
 		return nil, &BadRequestError{Err: err}
 	}
-	if _, err := clean.NewConfig(s.runOptions(cfg, det, cfg.Seed, nil, s.effMaxSteps(cfg, 0))...); err != nil {
+	if _, err := clean.NewConfig(s.runOptions(cfg, det, s.effMaxSteps(cfg, 0))...); err != nil {
 		return nil, &BadRequestError{Err: err}
 	}
 
@@ -444,12 +444,11 @@ func (s *Server) CreateSession(cfg apiv1.SessionConfig) (*apiv1.Session, error) 
 	}
 	s.nextSess++
 	sess := &session{
-		id:        fmt.Sprintf("s-%d", s.nextSess),
-		cfg:       cfg,
-		detection: det,
-		state:     "active",
-		jobs:      make(map[string]*job),
-		byKey:     make(map[string]*job),
+		id:    fmt.Sprintf("s-%d", s.nextSess),
+		cfg:   cfg,
+		state: "active",
+		jobs:  make(map[string]*job),
+		byKey: make(map[string]*job),
 	}
 	s.sessions[sess.id] = sess
 	s.mu.Unlock()
@@ -543,10 +542,47 @@ func (s *Server) resolveSpec(spec apiv1.JobSpec) (*prog.Program, error) {
 	return p, nil
 }
 
-// Submit validates the job spec, resolves its program source, persists
-// the job durably (when a store is configured) and enqueues it. A full
-// queue fails fast with ErrQueueFull — the submission is not blocked,
-// dropped or silently truncated. A non-empty idemKey deduplicates: a
+// resolveRun fixes what every run of a job shares: the effective
+// detection (the job's override, else the session's), the validated
+// configuration and the target. Whatever a run would reject fails here,
+// so the submission gets a 400 instead of a run with OutcomeError.
+// Shared by the submission path and crash recovery.
+func (s *Server) resolveRun(sess *session, spec apiv1.JobSpec, p *prog.Program) (cfg clean.Config, t clean.Target, err error) {
+	name := spec.Detection
+	if name == "" {
+		name = sess.cfg.Detection
+		if name == apiv1.DetectionPredict {
+			// A predict session's jobs face the per-job predict rules.
+			eff := spec
+			eff.Detection = name
+			if err := eff.Validate(); err != nil {
+				return cfg, t, err
+			}
+		}
+	}
+	det, err := clean.ParseDetection(name)
+	if err != nil {
+		return cfg, t, err
+	}
+	if cfg, err = clean.NewConfig(s.runOptions(sess.cfg, det, s.effMaxSteps(sess.cfg, spec.MaxSteps))...); err != nil {
+		return cfg, t, err
+	}
+	if p != nil {
+		return cfg, clean.ProgramTarget(p), nil
+	}
+	scale := spec.Workload.Scale
+	if scale == "" {
+		scale = "test"
+	}
+	t, err = clean.WorkloadTarget(spec.Workload.Name, scale, spec.Workload.Variant == "modified")
+	return cfg, t, err
+}
+
+// Submit validates the job spec, resolves its program source, run
+// configuration and target, persists the job durably (when a store is
+// configured) and enqueues it. A full queue fails fast with
+// ErrQueueFull — the submission is not blocked, dropped or silently
+// truncated. A non-empty idemKey deduplicates: a
 // repeat submission to the same session returns the original job.
 //
 // The acknowledgment contract: once Submit returns a job document, the
@@ -562,6 +598,8 @@ func (s *Server) Submit(sessionID string, spec apiv1.JobSpec, idemKey string) (*
 
 	s.mu.Lock()
 	var sess *session
+	var cfg clean.Config
+	var target clean.Target
 	for {
 		if s.draining {
 			s.mu.Unlock()
@@ -578,14 +616,9 @@ func (s *Server) Submit(sessionID string, spec apiv1.JobSpec, idemKey string) (*
 			s.mu.Unlock()
 			return nil, fmt.Errorf("%w: session %s", ErrSessionClosed, sessionID)
 		}
-		if spec.Detection == "" && sess.detection == clean.DetectPredict {
-			// A predict session's jobs face the per-job predict rules.
-			eff := spec
-			eff.Detection = apiv1.DetectionPredict
-			if err := eff.Validate(); err != nil {
-				s.mu.Unlock()
-				return nil, &BadRequestError{Err: err}
-			}
+		if cfg, target, err = s.resolveRun(sess, spec, p); err != nil {
+			s.mu.Unlock()
+			return nil, &BadRequestError{Err: err}
 		}
 		if idemKey != "" {
 			if dup, ok := sess.byKey[idemKey]; ok {
@@ -630,6 +663,8 @@ func (s *Server) Submit(sessionID string, spec apiv1.JobSpec, idemKey string) (*
 		spec:     spec,
 		idemKey:  idemKey,
 		prog:     p,
+		cfg:      cfg,
+		target:   target,
 		state:    apiv1.JobQueued,
 		accepted: now,
 		done:     make(chan struct{}),
@@ -1036,21 +1071,18 @@ func deadlineResult(j *job, seed int64) apiv1.RunResult {
 }
 
 // runJob executes every run of a job and returns the results in seed
-// order. Run-level failures (an unknown workload scale, a config the
-// per-job seed invalidates) land in the result's Outcome/Error — the job
-// itself always completes. The deadline contract: every run is bounded
-// deterministically by MaxSteps, and runs that have not started when
-// the wall-clock deadline passes (queue wait counts) are cut off with
-// OutcomeDeadline instead of pinning a worker.
+// order. Submit resolved the configuration and target, so a run fails
+// only the way the program does. The deadline contract: every run is
+// bounded deterministically by MaxSteps, and runs that have not started
+// when the wall-clock deadline passes (queue wait counts) are cut off
+// with OutcomeDeadline instead of pinning a worker.
 func (s *Server) runJob(j *job) []apiv1.RunResult {
-	maxSteps := s.effMaxSteps(j.sess.cfg, j.spec.MaxSteps)
-	det := s.effDetection(j)
 	if len(j.spec.Schedule) > 0 {
 		if j.expired() {
 			s.count("service.jobs_deadline_exceeded")
 			return []apiv1.RunResult{deadlineResult(j, 0)}
 		}
-		return []apiv1.RunResult{s.runScheduled(j.sess, det, j.prog, j.spec.Schedule, maxSteps)}
+		return []apiv1.RunResult{j.runScheduled()}
 	}
 	seeds := j.spec.Seeds
 	if len(seeds) == 0 {
@@ -1068,13 +1100,7 @@ func (s *Server) runJob(j *job) []apiv1.RunResult {
 			expired = true
 			return deadlineResult(j, seeds[i])
 		}
-		if j.prog != nil {
-			if det == clean.DetectPredict {
-				return s.runPredict(j.prog, seeds[i], maxSteps)
-			}
-			return s.runProgram(j.sess, det, j.prog, seeds[i], maxSteps)
-		}
-		return s.runWorkload(j.sess, det, j.spec.Workload, seeds[i], maxSteps)
+		return j.runOnce(seeds[i])
 	})
 	if expired {
 		s.count("service.jobs_deadline_exceeded")
@@ -1083,19 +1109,6 @@ func (s *Server) runJob(j *job) []apiv1.RunResult {
 	s.metrics.Counter("service.runs_total").Add(uint64(len(results)))
 	s.metricsMu.Unlock()
 	return results
-}
-
-// effDetection resolves a job's detection mode: the spec's per-job
-// override when present, else the session's mode. Submit has already
-// vetted the job against it: a predict job is program-backed and
-// unscheduled.
-func (s *Server) effDetection(j *job) clean.Detection {
-	if j.spec.Detection != "" {
-		if d, err := clean.ParseDetection(j.spec.Detection); err == nil {
-			return d
-		}
-	}
-	return j.sess.detection
 }
 
 // effMaxSteps resolves the per-run scheduler budget: job override, then
@@ -1114,10 +1127,10 @@ func (s *Server) effMaxSteps(sc apiv1.SessionConfig, jobMax uint64) uint64 {
 // options — the same constructors local callers use, so a remote run is
 // the same run. maxSteps arrives pre-resolved (effMaxSteps) so per-job
 // overrides flow through unchanged.
-func (s *Server) runOptions(sc apiv1.SessionConfig, det clean.Detection, seed int64, reg *clean.Metrics, maxSteps uint64) []clean.Option {
+func (s *Server) runOptions(sc apiv1.SessionConfig, det clean.Detection, maxSteps uint64) []clean.Option {
 	opts := []clean.Option{
 		clean.WithDetection(det),
-		clean.WithSeed(seed),
+		clean.WithSeed(sc.Seed),
 		clean.WithDeterministicSync(sc.DetSync),
 		clean.WithMaxSteps(maxSteps),
 	}
@@ -1130,48 +1143,49 @@ func (s *Server) runOptions(sc apiv1.SessionConfig, det clean.Detection, seed in
 	if sc.DisableMultibyteOpt {
 		opts = append(opts, clean.WithoutMultibyteOpt())
 	}
-	if reg != nil {
-		opts = append(opts, clean.WithMetrics(reg))
-	}
 	return opts
 }
 
-// sessionRegistry returns a fresh per-run registry for metric-enabled
-// sessions, nil otherwise. Each run gets its own: the registry is
-// single-threaded and runs fan out.
-func sessionRegistry(sc apiv1.SessionConfig) *clean.Metrics {
-	if !sc.Metrics {
-		return nil
+// runOnce runs the job's target once under seed through clean.Run, the
+// call an in-process caller makes.
+func (j *job) runOnce(seed int64) apiv1.RunResult {
+	cfg := j.cfg
+	cfg.Seed = seed
+	if j.sess.cfg.Metrics {
+		// A fresh registry per run: registries are single-threaded and
+		// runs fan out.
+		cfg.Metrics = clean.NewMetrics()
 	}
-	return clean.NewMetrics()
+	return resultOf(seed, clean.Run(j.target, cfg))
 }
 
-func errorResult(seed int64, err error) apiv1.RunResult {
-	return apiv1.RunResult{Seed: seed, Outcome: apiv1.OutcomeError, Error: err.Error()}
-}
-
-// runProgram runs a program job once under the given seed.
-func (s *Server) runProgram(sess *session, det clean.Detection, p *prog.Program, seed int64, maxSteps uint64) apiv1.RunResult {
-	reg := sessionRegistry(sess.cfg)
-	cfg, err := clean.NewConfig(s.runOptions(sess.cfg, det, seed, reg, maxSteps)...)
-	if err != nil {
-		return errorResult(seed, err)
-	}
-	m := clean.NewMachine(cfg)
-	// Recycle the detector's shadow pages once the result is extracted
-	// (deferred so a contained worker panic cannot leak the footprint
-	// gauges): this keeps the soak's shadow.mapped_pages curve flat.
-	defer m.ReleaseMetadata()
-	root, base := p.Build(m)
-	start := time.Now()
-	runErr := m.Run(root)
+// resultOf renders a run report as the api/v1 run result. A predict run
+// with certified predictions reports OutcomeRaceException and carries
+// the predicted-race documents; the first prediction's witness and hash
+// stand for the run, so predict results read like detection results.
+func resultOf(seed int64, rep *clean.Report) apiv1.RunResult {
 	res := apiv1.RunResult{
 		Seed:           seed,
-		Outcome:        clean.OutcomeOf(runErr),
-		FinalCounters:  m.FinalCounters(),
-		ElapsedSeconds: time.Since(start).Seconds(),
+		Outcome:        clean.OutcomeOf(rep.Err),
+		FinalCounters:  rep.FinalCounters,
+		ElapsedSeconds: rep.Elapsed.Seconds(),
 	}
-	finishProgramResult(&res, m, base, p.Region, runErr, reg, sess, seed)
+	switch {
+	case rep.Err != nil:
+		res.Error = rep.Err.Error()
+		res.Witness = witnessOf(rep.Err)
+	case rep.Predict == nil:
+		res.DeterminismHash = telemetry.FormatHash(rep.OutputHash)
+	}
+	if rep.Predict != nil && len(rep.Predict.Predictions) > 0 {
+		res.Outcome = apiv1.OutcomeRaceException
+		res.Predicted = rep.Predict.V1(nil)
+		res.Witness = res.Predicted[0].Witness
+		res.DeterminismHash = res.Predicted[0].DeterminismHash
+	}
+	if rep.Telemetry != nil {
+		res.Report = rep.Telemetry.V1()
+	}
 	return res
 }
 
@@ -1179,58 +1193,27 @@ func (s *Server) runProgram(sess *session, det clean.Detection, p *prog.Program,
 // schedule — the static analyzer's witness-replay entry point. The
 // schedule fully determines the interleaving, so the result carries no
 // seed and no registry (the scheduler never consults either).
-func (s *Server) runScheduled(sess *session, det clean.Detection, p *prog.Program, schedule []int, maxSteps uint64) apiv1.RunResult {
-	cfg, err := clean.NewConfig(s.runOptions(sess.cfg, det, sess.cfg.Seed, nil, maxSteps)...)
-	if err != nil {
-		return errorResult(0, err)
-	}
+func (j *job) runScheduled() apiv1.RunResult {
 	m := machine.New(machine.Config{
-		Detector: cfg.NewDetector(),
-		Picker:   prog.SequentialPicker(schedule...),
-		Layout:   layoutOf(sess.cfg),
-		MaxSteps: maxSteps,
+		Detector: j.cfg.NewDetector(),
+		Picker:   prog.SequentialPicker(j.spec.Schedule...),
+		Layout:   layoutOf(j.sess.cfg),
+		MaxSteps: j.cfg.MaxSteps,
 	})
 	defer m.ReleaseMetadata()
-	root, base := p.Build(m)
+	root, hashAddr, hashLen := j.target.Build(m)
 	start := time.Now()
 	runErr := m.Run(root)
-	res := apiv1.RunResult{
-		Outcome:        clean.OutcomeOf(runErr),
-		FinalCounters:  m.FinalCounters(),
-		ElapsedSeconds: time.Since(start).Seconds(),
+	rep := &clean.Report{Err: runErr, FinalCounters: m.FinalCounters(), Elapsed: time.Since(start)}
+	if runErr == nil {
+		rep.OutputHash = m.HashMem(hashAddr, hashLen)
 	}
-	finishProgramResult(&res, m, base, p.Region, runErr, nil, sess, 0)
+	res := resultOf(0, rep)
 	if res.Witness != nil {
 		// Unified witness shape: a scheduled replay's evidence carries the
 		// sequential composition that produced it, same as predict's
 		// certified reorderings and staticrace's static witnesses.
-		res.Witness.Schedule = staticrace.V1Schedule(p, schedule...)
-	}
-	return res
-}
-
-// runPredict runs a program job in predictive mode: one recorded
-// execution under the seed, then sync-preserving reordering with
-// certification-by-replay. A run with certified predictions reports
-// OutcomeRaceException and carries the full predicted-race documents;
-// the first prediction's witness doubles as the RunResult witness so
-// predict results read like detection results.
-func (s *Server) runPredict(p *prog.Program, seed int64, maxSteps uint64) apiv1.RunResult {
-	start := time.Now()
-	pr := predict.Run(predict.ProgramTarget(p), predict.Options{Seed: seed, MaxSteps: maxSteps})
-	res := apiv1.RunResult{
-		Seed:           seed,
-		Outcome:        clean.OutcomeOf(pr.Recording.Err),
-		ElapsedSeconds: time.Since(start).Seconds(),
-	}
-	if pr.Recording.Err != nil {
-		res.Error = pr.Recording.Err.Error()
-	}
-	if len(pr.Predictions) > 0 {
-		res.Outcome = apiv1.OutcomeRaceException
-		res.Predicted = pr.V1(nil)
-		res.Witness = res.Predicted[0].Witness
-		res.DeterminismHash = res.Predicted[0].DeterminismHash
+		res.Witness.Schedule = staticrace.V1Schedule(j.prog, j.spec.Schedule...)
 	}
 	return res
 }
@@ -1246,63 +1229,6 @@ func layoutOf(sc apiv1.SessionConfig) vclock.Layout {
 		l.TIDBits = sc.TIDBits
 	}
 	return l
-}
-
-// finishProgramResult attaches the error/witness or the determinism hash,
-// and for metric-enabled sessions the RunReport.
-func finishProgramResult(res *apiv1.RunResult, m *clean.Machine, base uint64, region int, runErr error, reg *clean.Metrics, sess *session, seed int64) {
-	if runErr != nil {
-		res.Error = runErr.Error()
-		res.Witness = witnessOf(runErr)
-	} else {
-		res.DeterminismHash = telemetry.FormatHash(m.HashMem(base, region))
-	}
-	if reg != nil {
-		tr := telemetry.NewRunReport()
-		tr.Workload = "prog"
-		tr.Detector = sess.cfg.Detection
-		tr.Seed = seed
-		tr.DetSync = sess.cfg.DetSync
-		tr.Outcome = res.Outcome
-		tr.Error = res.Error
-		tr.OutputHash = res.DeterminismHash
-		tr.ElapsedSeconds = res.ElapsedSeconds
-		tr.Metrics = reg.Snapshot()
-		res.Report = tr.V1()
-	}
-}
-
-// runWorkload runs a benchmark stand-in job once under the given seed.
-func (s *Server) runWorkload(sess *session, det clean.Detection, w *apiv1.WorkloadSpec, seed int64, maxSteps uint64) apiv1.RunResult {
-	reg := sessionRegistry(sess.cfg)
-	cfg, err := clean.NewConfig(s.runOptions(sess.cfg, det, seed, reg, maxSteps)...)
-	if err != nil {
-		return errorResult(seed, err)
-	}
-	scale := w.Scale
-	if scale == "" {
-		scale = "test"
-	}
-	rep, err := clean.RunWorkload(w.Name, scale, w.Variant == "modified", cfg)
-	if err != nil {
-		return errorResult(seed, err)
-	}
-	res := apiv1.RunResult{
-		Seed:           seed,
-		Outcome:        clean.OutcomeOf(rep.Err),
-		FinalCounters:  rep.FinalCounters,
-		ElapsedSeconds: rep.Elapsed.Seconds(),
-	}
-	if rep.Err != nil {
-		res.Error = rep.Err.Error()
-		res.Witness = witnessOf(rep.Err)
-	} else {
-		res.DeterminismHash = telemetry.FormatHash(rep.OutputHash)
-	}
-	if rep.Telemetry != nil {
-		res.Report = rep.Telemetry.V1()
-	}
-	return res
 }
 
 // witnessOf extracts the race witness from a run error, nil for

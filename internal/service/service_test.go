@@ -176,6 +176,62 @@ func TestWorkloadJob(t *testing.T) {
 		t.Errorf("report kind %q hash %s, want %q %s",
 			res.Report.Kind, res.Report.OutputHash, apiv1.KindRunReport, want)
 	}
+
+	// Program jobs report like workload jobs: the detector that ran,
+	// and the CLEAN detector's core.* counters.
+	for _, det := range []string{"", apiv1.DetectionFastTrack} {
+		job, err := c.Run(ctx, sess.ID, apiv1.JobSpec{Litmus: "locked-counter", Detection: det})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr := job.Runs[0].Report
+		if rr == nil {
+			t.Fatalf("program job (detection %q): metrics session returned no report", det)
+		}
+		wantDet, wantCore := det, false
+		if det == "" {
+			wantDet, wantCore = apiv1.DetectionCLEAN, true
+		}
+		if rr.Workload != "prog" || rr.Detector != wantDet {
+			t.Errorf("program job (detection %q): report workload %q detector %q, want prog %s", det, rr.Workload, rr.Detector, wantDet)
+		}
+		if _, ok := rr.Metrics.Counters["core.accesses"]; ok != wantCore {
+			t.Errorf("program job (detection %q): core.accesses present = %v, want %v", det, ok, wantCore)
+		}
+	}
+}
+
+// TestSubmitRejectsUnrunnableJobs: a job whose workload, scale or
+// effective configuration no run could accept is a 400 carrying the
+// error the run would have raised, not a 202 and an error result.
+func TestSubmitRejectsUnrunnableJobs(t *testing.T) {
+	ctx := context.Background()
+	_, c := startTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	sess, err := c.CreateSession(ctx, apiv1.SessionConfig{
+		Detection: apiv1.DetectionCLEAN, Seed: 1, DisableMultibyteOpt: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		spec       apiv1.JobSpec
+	}{
+		{"unknown workload", "unknown workload nope",
+			apiv1.JobSpec{Workload: &apiv1.WorkloadSpec{Name: "nope"}}},
+		{"unknown scale", `unknown scale "huge"`,
+			apiv1.JobSpec{Workload: &apiv1.WorkloadSpec{Name: "fft", Scale: "huge"}}},
+		{"missing variant", "canneal has no modified variant",
+			apiv1.JobSpec{Workload: &apiv1.WorkloadSpec{Name: "canneal", Variant: "modified"}}},
+		{"detector rejects the session config", "DisableMultibyteOpt applies only",
+			apiv1.JobSpec{Litmus: "waw", Detection: apiv1.DetectionFastTrack}},
+	} {
+		_, err := c.Submit(ctx, sess.ID, tc.spec)
+		var apiErr *apiv1.Error
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || !strings.Contains(apiErr.Message, tc.want) {
+			t.Errorf("%s: err = %v, want a 400 containing %q", tc.name, err, tc.want)
+		}
+	}
 }
 
 // TestScheduledReplay drives the witness-replay schedules: on the
