@@ -38,12 +38,17 @@
 // Everything outside the subset fails loudly: Load returns a *DiagError
 // listing every offending construct with its file:line:column position,
 // never a silently wrong program.
+//
+// The only import allowed is "sync", and it type-checks against a small
+// package declaring sync's exported API (syncAPI), built once per
+// process and shared by every load. Any other import fails before type
+// checking. No Go toolchain is needed at run time.
 package gofront
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -188,13 +193,21 @@ func LoadSource(filename string, src []byte) (*Program, error) {
 			f.errorf(imp.Pos(), "import %q unsupported (only \"sync\")", path)
 		}
 	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	if _, err := conf.Check(filename, fset, []*ast.File{file}, f.info); err != nil {
-		f.errorf(token.NoPos, "type check: %v", err)
-		return nil, f.err()
-	}
 	if derr := f.err(); derr != nil {
 		return nil, derr
+	}
+	conf := types.Config{Importer: syncImporter{}}
+	if _, err := conf.Check(filename, fset, []*ast.File{file}, f.info); err != nil {
+		pos, msg := file.Package, err.Error()
+		var terr types.Error
+		if errors.As(err, &terr) {
+			if terr.Pos.IsValid() {
+				pos = terr.Pos
+			}
+			msg = terr.Msg
+		}
+		f.errorf(pos, "type check: %s", msg)
+		return nil, f.err()
 	}
 	return f.lowerFile()
 }
@@ -202,7 +215,7 @@ func LoadSource(filename string, src []byte) (*Program, error) {
 // wgInfo is the lowering state of one sync.WaitGroup.
 type wgInfo struct {
 	name string
-	pos  token.Position
+	pos  token.Pos
 	// chanIdx is the dedicated channel, allocated on first use.
 	chanIdx int
 	// adds is the total of constant wg.Add(n) arguments.
@@ -243,6 +256,9 @@ type front struct {
 	// workers and threads accumulate the lowered program in parallel.
 	workers []*Worker
 	threads [][]prog.Op
+	// stmts counts statements lowered across all workers, unrolled
+	// iterations and inlined bodies included.
+	stmts int
 }
 
 func (f *front) errorf(pos token.Pos, format string, args ...interface{}) {
@@ -303,7 +319,7 @@ func (f *front) registerVar(obj *types.Var) {
 		f.locks[obj] = len(f.lockList)
 		f.lockList = append(f.lockList, Named{Name: obj.Name(), Pos: f.fset.Position(obj.Pos())})
 	case isSyncType(t, "WaitGroup"):
-		f.wgs[obj] = &wgInfo{name: obj.Name(), pos: f.fset.Position(obj.Pos()), chanIdx: -1}
+		f.wgs[obj] = &wgInfo{name: obj.Name(), pos: obj.Pos(), chanIdx: -1}
 	default:
 		if _, ok := t.Underlying().(*types.Chan); ok {
 			f.chans[obj] = -1 // allocated at its make site

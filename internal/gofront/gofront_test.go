@@ -36,7 +36,7 @@ var corpusTruth = map[string]struct {
 	"wgcounter":      {staticrace.MustRace, true},
 }
 
-func corpusFiles(t *testing.T) []string {
+func corpusFiles(t testing.TB) []string {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join(corpusDir, "*.go"))
 	if err != nil || len(files) == 0 {
@@ -218,47 +218,53 @@ func TestSourceMapping(t *testing.T) {
 	}
 }
 
-// TestDiagnosticsArePositioned: unsupported constructs fail loudly with
-// file:line:column diagnostics, never silently.
-func TestDiagnosticsArePositioned(t *testing.T) {
-	cases := []struct {
-		name, src, wantMsg string
-	}{
-		{"select", `package main
+// diagCases are sources outside the subset, each with a substring of
+// the diagnostic it must produce.
+var diagCases = []struct {
+	name, src, wantMsg string
+}{
+	{"select", `package main
 var c = make(chan int)
 func main() {
 	go func() { c <- 1 }()
 	select {}
 }`, "unsupported statement"},
-		{"import", `package main
+	{"import", `package main
 import "os"
 func main() { go func() { os.Exit(1) }() }`, `import "os" unsupported`},
-		{"map", `package main
+	{"import-net-http", `package main
+import "net/http"
+func main() { go func() { http.Get("x") }() }`, `import "net/http" unsupported`},
+	{"type-check", `package main
+import "sync"
+var mu sync.Mutex
+func main() { go func() { mu.Foo() }() }`, "type check: mu.Foo undefined"},
+	{"map", `package main
 var m = map[string]int{}
 var d int
 func main() {
 	go func() { m["k"] = 1 }()
 	d = 1
 }`, "unsupported"},
-		{"late-go", `package main
+	{"late-go", `package main
 var x int
 func main() {
 	go func() { x = 1 }()
 	x = 2
 	go func() { x = 3 }()
 }`, "go statement after main's continuation"},
-		{"recursion", `package main
+	{"recursion", `package main
 var x int
 func f() { x++; f() }
 func main() { go f() }`, "recursive call"},
-		{"nested-go", `package main
+	{"nested-go", `package main
 var x int
 func main() {
 	go func() {
 		go func() { x = 1 }()
 	}()
 }`, "nested go"},
-		{"dynamic-loop", `package main
+	{"dynamic-loop", `package main
 var x, n int
 func main() {
 	go func() {
@@ -267,14 +273,45 @@ func main() {
 		}
 	}()
 }`, "constant bounds"},
-		{"shared-string", `package main
+	{"wg-no-add", `package main
+import "sync"
+var wg sync.WaitGroup
+var x int
+func main() {
+	go func() { x = 1; wg.Done() }()
+	wg.Wait()
+}`, "used without any constant wg.Add"},
+	{"unroll-bomb", `package main
+var x int
+func main() {
+	go func() {
+		for i := 0; i < 64; i++ {
+			for j := 0; j < 64; j++ {
+				for k := 0; k < 64; k++ {
+					for l := 0; l < 64; l++ {
+						x++
+					}
+				}
+			}
+		}
+	}()
+}`, "more than 65536 statements"},
+	{"bodyless-func", `package main
+var x int
+func f()
+func main() { go f() }`, "func f without a body unsupported"},
+	{"shared-string", `package main
 var s string
 func main() {
 	go func() { s = "a" }()
 	go func() { s = "b" }()
 }`, "unsupported type"},
-	}
-	for _, c := range cases {
+}
+
+// TestDiagnosticsArePositioned: unsupported constructs fail loudly with
+// file:line:column diagnostics, never silently.
+func TestDiagnosticsArePositioned(t *testing.T) {
+	for _, c := range diagCases {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := LoadSource(c.name+".go", []byte(c.src))
 			var de *DiagError
@@ -285,13 +322,20 @@ func main() {
 			for _, d := range de.Diags {
 				if strings.Contains(d.Msg, c.wantMsg) {
 					found = true
-					if d.Pos.Line <= 0 && c.name != "import-check" {
+					if d.Pos.Line <= 0 {
 						t.Errorf("diagnostic %v lacks a position", d)
 					}
 				}
 			}
 			if !found {
 				t.Errorf("no diagnostic containing %q in:\n%v", c.wantMsg, err)
+			}
+			// An unsupported import stops the load before type checking,
+			// so its diagnostic is the only one.
+			if c.name == "import-net-http" {
+				if len(de.Diags) != 1 || de.Diags[0].Pos.Line != 2 || de.Diags[0].Pos.Column != 8 {
+					t.Errorf("diags = %v, want exactly one at 2:8", de.Diags)
+				}
 			}
 		})
 	}

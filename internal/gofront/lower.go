@@ -10,6 +10,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"sort"
 
 	"repro/internal/prog"
 )
@@ -47,6 +48,10 @@ func (f *front) lowerFile() (*Program, error) {
 				mainFn = d
 				continue
 			}
+			if d.Body == nil {
+				f.errorf(d.Pos(), "func %s without a body unsupported", d.Name.Name)
+				continue
+			}
 			if obj := f.info.Defs[d.Name]; obj != nil {
 				f.funcs[obj] = d
 			}
@@ -74,10 +79,15 @@ func (f *front) lowerFile() (*Program, error) {
 		l.block(cont)
 		f.finishWorker(l)
 	}
+	var unadded []*wgInfo
 	for _, w := range f.wgs {
 		if w.chanIdx >= 0 && w.adds == 0 {
-			f.errorf(token.NoPos, "sync.WaitGroup %q used without any constant wg.Add", w.name)
+			unadded = append(unadded, w)
 		}
+	}
+	sort.Slice(unadded, func(i, j int) bool { return unadded[i].pos < unadded[j].pos })
+	for _, w := range unadded {
+		f.errorf(w.pos, "sync.WaitGroup %q used without any constant wg.Add", w.name)
 	}
 	if len(f.threads) == 0 {
 		f.errorf(mainFn.Pos(), "program lowers to no operations (no goroutines and an empty main continuation)")
@@ -448,8 +458,20 @@ func (l *lowerer) block(stmts []ast.Stmt) {
 	}
 }
 
+// maxStmts bounds the statements one file lowers to. Nested unrolled
+// loops and inlined calls multiply a small source; the bound keeps a
+// load's time and memory linear in what the lowering emits.
+const maxStmts = 1 << 16
+
 func (l *lowerer) stmt(s ast.Stmt) {
 	f := l.f
+	f.stmts++
+	if f.stmts > maxStmts {
+		if f.stmts == maxStmts+1 {
+			f.errorf(s.Pos(), "program lowers to more than %d statements (nested unrolling or inlining)", maxStmts)
+		}
+		return
+	}
 	switch s := s.(type) {
 	case *ast.EmptyStmt:
 	case *ast.BlockStmt:
@@ -567,7 +589,7 @@ func (l *lowerer) unrollFor(s *ast.ForStmt) {
 		return
 	}
 	f.notef(s.Pos(), fmt.Sprintf("loop unrolled %d times", trip))
-	for i := 0; i < trip; i++ {
+	for i := 0; i < trip && f.stmts <= maxStmts; i++ {
 		l.block(s.Body.List)
 	}
 }
@@ -836,7 +858,7 @@ func (l *lowerer) methodCall(c *ast.CallExpr, sel *ast.SelectorExpr) {
 func (f *front) wgChan(w *wgInfo) int {
 	if w.chanIdx < 0 {
 		w.chanIdx = len(f.chanList)
-		f.chanList = append(f.chanList, Named{Name: "wg " + w.name, Pos: w.pos})
+		f.chanList = append(f.chanList, Named{Name: "wg " + w.name, Pos: f.fset.Position(w.pos)})
 		f.chanCaps = append(f.chanCaps, w.adds)
 	}
 	return w.chanIdx

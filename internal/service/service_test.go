@@ -542,6 +542,9 @@ func TestGoSourceJobRejectsBadSource(t *testing.T) {
 	}{
 		{"syntax error", "package main\nfunc main() {", "gosource.go:2"},
 		{"unsupported construct", "package main\nvar x int\nfunc main() {\n\tgo func() { x = 1 }()\n\tselect {}\n}\n", "gosource.go:5"},
+		// Rejected before type checking: no standard-library source is
+		// loaded on the request path.
+		{"unsupported import", "package main\nimport \"net/http\"\nfunc main() { go func() { http.Get(\"x\") }() }\n", "gosource.go:2:8"},
 	}
 	for _, tc := range cases {
 		_, err := c.Submit(ctx, sess.ID, apiv1.JobSpec{GoSource: tc.src})
