@@ -386,6 +386,11 @@ type Report struct {
 	// Predict is the prediction result of a DetectPredict run; the
 	// other fields then stay zero apart from Err and Elapsed.
 	Predict *predict.Result
+	// Detector is the detector instance Run attached (nil under
+	// DetectNone and DetectPredict), for reading detector-specific
+	// results after the run: a *core.Detector's Stats and end-of-run
+	// Footprint, a FastTrack detector's MetadataBytes.
+	Detector Detector
 }
 
 // Run executes the target once under cfg and summarises the run. It is
@@ -415,6 +420,7 @@ func Run(t Target, cfg Config) *Report {
 		Stats:         m.Stats(),
 		FinalCounters: m.FinalCounters(),
 		Elapsed:       time.Since(start),
+		Detector:      det,
 	}
 	if runErr == nil {
 		rep.OutputHash = m.HashMem(hashAddr, hashLen)

@@ -30,7 +30,7 @@ func main() {
 		exp      = flag.String("exp", "all", "experiment to run (see -list)")
 		scale    = flag.String("scale", "", "input scale override: test, simsmall, simlarge, native")
 		reps     = flag.Int("reps", 0, "repetitions per measurement (0 = per-experiment default)")
-		yieldEv  = flag.Int("yield", 0, "machine scheduling granularity (0 = default 8)")
+		yieldEv  = flag.Int("yield", 0, "machine scheduling granularity (0 = default 32)")
 		list     = flag.Bool("list", false, "list experiments and exit")
 		verbose  = flag.Bool("v", false, "verbose output")
 		artDir   = flag.String("artifacts", "", "directory for diagnostic dumps of resilience violations")
@@ -39,7 +39,7 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write an allocation profile at exit to this file")
 		parallel = flag.Bool("parallel", false, "fan independent runs across CPU cores (deterministic output is unchanged)")
 		workers  = flag.Int("workers", 0, "worker count for -parallel (0 = GOMAXPROCS)")
-		baseline = flag.String("baseline", "", "directory holding baseline BENCH_hotpath.json; the hotpath experiment fails on tolerance-band regressions against it")
+		baseline = flag.String("baseline", "", "directory holding baseline BENCH_hotpath.json and BENCH_predict.json; the hotpath and predict experiments fail on tolerance-band regressions against them")
 	)
 	flag.Parse()
 

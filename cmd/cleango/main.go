@@ -160,11 +160,10 @@ func cmdVet(args []string) {
 // witness schedule must raise a race exception; a RaceFree claim must
 // survive (bounded) exploration.
 func confirmVerdict(p *gofront.Program, rep *staticrace.Report, maxruns int) bool {
-	oracleDet := func() machine.Detector { return oracle.New(oracle.AllRaces) }
 	switch rep.Verdict() {
 	case staticrace.MustRace:
 		first, second, _ := rep.Witness()
-		m := machine.New(machine.Config{Detector: oracleDet(), Picker: prog.SequentialPicker(first, second)})
+		m := machine.New(machine.Config{Detector: oracle.New(oracle.AllRaces), Picker: prog.SequentialPicker(first, second)})
 		root, base := p.Prog.Build(m)
 		err := m.Run(root)
 		var re *machine.RaceError
@@ -177,22 +176,12 @@ func confirmVerdict(p *gofront.Program, rep *staticrace.Report, maxruns int) boo
 		printWitness(p, base, re)
 		return true
 	default:
-		res := explore.RunProgram(explore.Options{Detector: oracleDet, MaxRuns: maxruns}, p.Prog, nil)
-		scope := "exhaustive"
-		if !res.Exhaustive() {
-			scope = "bounded"
-		}
-		excepted := 0
-		for _, n := range res.Exceptions {
-			excepted += n
-		}
-		fmt.Printf("confirm:   %s exploration, %d interleavings: %d completed, %d excepted, %d deadlocked\n",
-			scope, res.Runs, res.Completed, excepted, res.Deadlocks)
-		if rep.Verdict() == staticrace.RaceFree && (excepted > 0 || res.Deadlocks > 0 || res.OtherErrors > 0) {
+		summary, ok := explore.Confirm(p.Prog, rep.Verdict(), maxruns)
+		fmt.Printf("confirm:   %s\n", summary)
+		if !ok {
 			fmt.Printf("confirm:   FAILED — statically race-free but the machine disagrees\n")
-			return false
 		}
-		return true
+		return ok
 	}
 }
 

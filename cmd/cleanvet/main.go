@@ -206,11 +206,10 @@ func writeJSON(path, desc string, p *prog.Program, rep *staticrace.Report) error
 // raising one; MayRace by exploration either way — both outcomes are
 // consistent with the middle verdict.
 func confirmVerdict(p *prog.Program, rep *staticrace.Report, maxruns int) bool {
-	oracleDet := func() machine.Detector { return oracle.New(oracle.AllRaces) }
 	switch rep.Verdict() {
 	case staticrace.MustRace:
 		first, second, _ := rep.Witness()
-		_, err := p.RunPicked(prog.SequentialPicker(first, second), oracleDet())
+		_, err := p.RunPicked(prog.SequentialPicker(first, second), oracle.New(oracle.AllRaces))
 		var re *machine.RaceError
 		if !errors.As(err, &re) {
 			fmt.Printf("confirm:   FAILED — witness schedule (t%d then t%d) raised %v, want a race exception\n",
@@ -220,22 +219,12 @@ func confirmVerdict(p *prog.Program, rep *staticrace.Report, maxruns int) bool {
 		fmt.Printf("confirm:   witness schedule (t%d then t%d) raised %v\n", first, second, re)
 		return true
 	default:
-		res := explore.RunProgram(explore.Options{Detector: oracleDet, MaxRuns: maxruns}, p, nil)
-		scope := "exhaustive"
-		if !res.Exhaustive() {
-			scope = "bounded"
-		}
-		excepted := 0
-		for _, n := range res.Exceptions {
-			excepted += n
-		}
-		fmt.Printf("confirm:   %s exploration, %d interleavings: %d completed, %d excepted, %d deadlocked\n",
-			scope, res.Runs, res.Completed, excepted, res.Deadlocks)
-		if rep.Verdict() == staticrace.RaceFree && (excepted > 0 || res.Deadlocks > 0 || res.OtherErrors > 0) {
+		summary, ok := explore.Confirm(p, rep.Verdict(), maxruns)
+		fmt.Printf("confirm:   %s\n", summary)
+		if !ok {
 			fmt.Printf("confirm:   FAILED — statically race-free but the machine disagrees\n")
-			return false
 		}
-		return true
+		return ok
 	}
 }
 

@@ -102,12 +102,12 @@ func (s Stats) PublishTo(reg *telemetry.Registry) {
 // from Stats.PublishTo deliberately: the facade's golden-pinned report
 // path publishes only the work counters, while the harness experiments
 // (and anything else that wants the footprint in its snapshot) opt in by
-// calling this before ReleaseMetadata. Nil reg is a no-op.
+// calling this, before or after ReleaseMetadata. Nil reg is a no-op.
 func (d *Detector) PublishFootprintTo(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	f := d.epochs.Footprint()
+	f := d.Footprint()
 	reg.Gauge("core.shadow_mapped_pages").Set(float64(f.MappedPages))
 	reg.Gauge("core.shadow_lines_compact").Set(float64(f.LinesCompact))
 	reg.Gauge("core.shadow_lines_expanded").Set(float64(f.LinesExpanded))
@@ -124,6 +124,11 @@ type Detector struct {
 	stats     Stats
 	races     []machine.RaceError
 	seen      map[raceKey]bool
+	// final is the footprint captured by ReleaseMetadata (released
+	// set), reported by Footprint once the region's pages are back in
+	// the pool.
+	final    shadow.Footprint
+	released bool
 }
 
 // raceKey deduplicates monitor-mode reports by location and thread pair.
@@ -174,16 +179,26 @@ func (d *Detector) Epochs() *shadow.Region { return d.epochs }
 // shadow allocation-free.
 func (d *Detector) Reset() { d.epochs.Reset() }
 
-// Footprint reports the shadow region's current adaptive footprint
-// (mapped pages, compact vs expanded lines, logical metadata bytes).
-// Capture it before ReleaseMetadata if the numbers are to be reported.
-func (d *Detector) Footprint() shadow.Footprint { return d.epochs.Footprint() }
+// Footprint reports the shadow region's adaptive footprint (mapped
+// pages, compact vs expanded lines, logical metadata bytes). After
+// ReleaseMetadata it reports the footprint the run ended with, so a
+// finished run's numbers stay readable once its pages are recycled.
+func (d *Detector) Footprint() shadow.Footprint {
+	if d.released {
+		return d.final
+	}
+	return d.epochs.Footprint()
+}
 
 // ReleaseMetadata returns the detector's shadow pages to the process-wide
-// free list. Call it exactly once, after the run has finished with the
-// detector; the facade, harness, and service job paths all do, which is
-// what keeps steady-state serving at ~zero shadow page allocation.
-func (d *Detector) ReleaseMetadata() { d.epochs.Release() }
+// free list, keeping the end-of-run footprint for Footprint. Call it
+// exactly once, after the run has finished with the detector; clean.Run
+// and the service job paths do, which is what keeps steady-state
+// serving at ~zero shadow page allocation.
+func (d *Detector) ReleaseMetadata() {
+	d.final, d.released = d.epochs.Footprint(), true
+	d.epochs.Release()
+}
 
 // OnAccess implements the CLEAN race check for one shared access of size
 // bytes at addr. It returns a *machine.RaceError exactly when the access

@@ -411,3 +411,30 @@ func TestMetadataFootprintProportionalToAccessedData(t *testing.T) {
 		t.Errorf("MappedPages = %d, want 1 (only touched data pays)", pages)
 	}
 }
+
+// TestFootprintSurvivesRelease: a finished run's footprint stays readable
+// after ReleaseMetadata recycles its pages, so callers may report it
+// after the run path has cleaned up.
+func TestFootprintSurvivesRelease(t *testing.T) {
+	_, det, err := run(0, Config{}, func(m *machine.Machine) func(*machine.Thread) {
+		a := m.AllocShared(1<<16, 64)
+		return func(th *machine.Thread) {
+			th.StoreU64(a, 1)
+			th.StoreU8(a+1<<12, 1)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := det.Footprint()
+	if before.MappedPages == 0 {
+		t.Fatal("run mapped no shadow pages")
+	}
+	det.ReleaseMetadata()
+	if got := det.Epochs().MappedPages(); got != 0 {
+		t.Errorf("MappedPages after release = %d, want 0", got)
+	}
+	if got := det.Footprint(); got != before {
+		t.Errorf("Footprint after release = %+v, want the end-of-run %+v", got, before)
+	}
+}

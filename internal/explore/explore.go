@@ -17,8 +17,10 @@ package explore
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/machine"
+	"repro/internal/oracle"
 	"repro/internal/prog"
 	"repro/internal/staticrace"
 )
@@ -167,6 +169,32 @@ func RunProgram(opts Options, p *prog.Program, inspect func(m *machine.Machine, 
 		root, _ := p.Build(m)
 		return root
 	}, inspect)
+}
+
+// Confirm backs a static verdict with the machine by (bounded)
+// exploration under the all-races oracle — the check every verdict but
+// MustRace gets (a MustRace verdict is confirmed by replaying its
+// witness schedule). It returns the exploration's one-line summary and
+// whether the verdict stands: RaceFree fails when any interleaving
+// raised an exception, deadlocked or errored; MayRace is consistent
+// with either outcome.
+func Confirm(p *prog.Program, v staticrace.Verdict, maxRuns int) (summary string, ok bool) {
+	res := RunProgram(Options{
+		Detector: func() machine.Detector { return oracle.New(oracle.AllRaces) },
+		MaxRuns:  maxRuns,
+	}, p, nil)
+	scope := "exhaustive"
+	if !res.Exhaustive() {
+		scope = "bounded"
+	}
+	excepted := 0
+	for _, n := range res.Exceptions {
+		excepted += n
+	}
+	summary = fmt.Sprintf("%s exploration, %d interleavings: %d completed, %d excepted, %d deadlocked",
+		scope, res.Runs, res.Completed, excepted, res.Deadlocks)
+	ok = v != staticrace.RaceFree || (excepted == 0 && res.Deadlocks == 0 && res.OtherErrors == 0)
+	return summary, ok
 }
 
 func classify(res *Result, err error) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/staticrace"
 )
 
 // TestPruneSkipsStaticallyRaceFreeLitmuses: with Prune enabled, the
@@ -67,5 +68,28 @@ func TestPrunedResultShape(t *testing.T) {
 	}
 	if res.Exceptions == nil || res.Exceptions[machine.WAW] != 0 {
 		t.Fatalf("exception map unusable: %+v", res)
+	}
+}
+
+// TestConfirm: a RaceFree verdict stands only when exploration finds no
+// exception, deadlock or error; MayRace stands either way.
+func TestConfirm(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		verdict staticrace.Verdict
+		ok      bool
+		summary string
+	}{
+		{"locked-counter", staticrace.RaceFree, true, "exhaustive exploration, 5179 interleavings: 5179 completed, 0 excepted, 0 deadlocked"},
+		{"waw", staticrace.RaceFree, false, ""},
+		{"lock-shadow", staticrace.MayRace, true, ""},
+	} {
+		summary, ok := Confirm(litmus(t, tc.name), tc.verdict, 200000)
+		if ok != tc.ok {
+			t.Errorf("%s as %v: ok = %v, want %v (%s)", tc.name, tc.verdict, ok, tc.ok, summary)
+		}
+		if tc.summary != "" && summary != tc.summary {
+			t.Errorf("%s summary = %q, want %q", tc.name, summary, tc.summary)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 // Package harness drives the paper's evaluation (§6): one runner per
 // table and figure, each printing the same rows/series the paper reports.
 // cmd/cleanbench is a thin CLI over this package, and the repository-root
-// benchmarks wrap the same runners in testing.B.
+// benchmarks wrap the same runners in testing.B. Every workload run goes
+// through clean.Run, the path users run, apart from the fault-injected
+// runs of the resilience experiment (runFaultOnce).
 package harness
 
 import (
@@ -10,13 +12,9 @@ import (
 	"time"
 
 	clean "repro"
-	"repro/internal/core"
-	"repro/internal/machine"
-	"repro/internal/shadow"
+	"repro/internal/predict"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/vclock"
 	"repro/internal/workloads"
 )
 
@@ -52,10 +50,12 @@ type Options struct {
 	// all deterministic output (counters, hashes, outcomes, tables) is
 	// byte-identical to a sequential run.
 	Parallel int
-	// BaselineDir, if non-empty, makes the hotpath experiment gate its
-	// fresh measurements against the BENCH_hotpath.json checked in there:
-	// any allocs_per_op above baseline or ns_per_op beyond the tolerance
-	// band fails the experiment (cleanbench -baseline).
+	// BaselineDir, if non-empty, makes the hotpath and predict
+	// experiments gate their fresh results against the BENCH_hotpath.json
+	// and BENCH_predict.json checked in there: for hotpath, any
+	// allocs_per_op above baseline or ns_per_op beyond the tolerance band
+	// fails; for predict, race recall below the baseline's tolerance or a
+	// steps ratio beyond its band fails (cleanbench -baseline).
 	BaselineDir string
 }
 
@@ -85,114 +85,6 @@ func (o Options) workers() int {
 		return o.Parallel
 	}
 	return 1
-}
-
-// runCfg describes one software configuration of the machine.
-type runCfg struct {
-	detSync    bool
-	detector   func() machine.Detector // nil for none
-	layout     vclock.Layout
-	seed       int64
-	yieldEvery int
-	tracer     machine.Tracer
-	maxSteps   uint64 // 0 = DefaultMaxSteps
-	// injector, if non-nil, receives the machine's deterministic
-	// fault-injection callbacks (resilience experiment).
-	injector machine.Injector
-	// metrics, if non-nil, receives the machine's counters plus the
-	// CLEAN detector's core.* counters when the run ends.
-	metrics *telemetry.Registry
-	// timeline, if non-nil, records the run's per-thread spans.
-	timeline *telemetry.Timeline
-}
-
-// runResult is one measured run.
-type runResult struct {
-	err      error
-	elapsed  time.Duration
-	stats    machine.Stats
-	hash     uint64
-	counters []uint64
-	detStats *core.Stats
-	// footprint is the CLEAN detector's shadow footprint at run end,
-	// captured before the pages are recycled to the pool (the region
-	// reads zero afterwards).
-	footprint shadow.Footprint
-}
-
-// machineConfig translates a runCfg onto the facade's functional options
-// — the one config-construction path the facade, CLIs, service and this
-// harness share — and panics on a validation error (harness configs are
-// all code-authored; an invalid one is a bug, in the fatal-error style of
-// this package).
-func (cfg runCfg) machineConfig() clean.Config {
-	maxSteps := cfg.maxSteps
-	if maxSteps == 0 {
-		// Every harness run carries a step budget so a buggy workload
-		// trips the livelock watchdog instead of hanging cleanbench.
-		maxSteps = DefaultMaxSteps
-	}
-	opts := []clean.Option{
-		// The detector instance is supplied to NewMachineWithDetector
-		// directly (the harness builds monitor-mode and injector-bound
-		// detectors the Detection enum cannot express).
-		clean.WithDetection(clean.DetectNone),
-		clean.WithSeed(cfg.seed),
-		clean.WithDeterministicSync(cfg.detSync),
-		clean.WithYieldEvery(cfg.yieldEvery),
-		clean.WithMaxSteps(maxSteps),
-		clean.WithTracer(cfg.tracer),
-		clean.WithFaultInjector(cfg.injector),
-		clean.WithMetrics(cfg.metrics),
-		clean.WithTimeline(cfg.timeline),
-	}
-	if cfg.layout != (vclock.Layout{}) {
-		opts = append(opts, clean.WithEpochLayout(cfg.layout.ClockBits, cfg.layout.TIDBits))
-	}
-	ccfg, err := clean.NewConfig(opts...)
-	if err != nil {
-		panic(fmt.Sprintf("harness: invalid run configuration: %v", err))
-	}
-	return ccfg
-}
-
-// runWorkload executes one workload variant under cfg and measures it.
-func runWorkload(w workloads.Workload, scale workloads.Scale, variant workloads.Variant, cfg runCfg) runResult {
-	var det machine.Detector
-	if cfg.detector != nil {
-		det = cfg.detector()
-	}
-	m := clean.NewMachineWithDetector(cfg.machineConfig(), det)
-	root, out := w.Build(m, scale, variant)
-	start := time.Now()
-	err := m.Run(root)
-	elapsed := time.Since(start)
-	res := runResult{
-		err:      err,
-		elapsed:  elapsed,
-		stats:    m.Stats(),
-		counters: m.FinalCounters(),
-	}
-	if err == nil {
-		res.hash = m.HashMem(out.Addr, out.Len)
-	}
-	if cd, ok := det.(*core.Detector); ok {
-		s := cd.Stats()
-		res.detStats = &s
-		s.PublishTo(cfg.metrics)
-		cd.PublishFootprintTo(cfg.metrics)
-		res.footprint = cd.Footprint()
-	}
-	// Recycle the detector's shadow pages: repeated harness runs (and the
-	// parallel engine's fan-out) then serve page materializations from
-	// the pool. Experiments needing footprint numbers read res.footprint.
-	m.ReleaseMetadata()
-	return res
-}
-
-// cleanDetector returns a fresh CLEAN detector factory.
-func cleanDetector(cfg core.Config) func() machine.Detector {
-	return func() machine.Detector { return core.New(cfg) }
 }
 
 // meanSeconds runs fn for reps repetitions — fanned across workers
@@ -234,9 +126,11 @@ func hwSuite() []workloads.Workload {
 // recordTrace runs a workload once with a trace recorder attached.
 func recordTrace(w workloads.Workload, scale workloads.Scale, seed int64) *trace.Trace {
 	rec := &trace.Recorder{}
-	res := runWorkload(w, scale, workloads.Modified, runCfg{seed: seed, yieldEvery: 16, tracer: rec})
-	if res.err != nil {
-		panic(fmt.Sprintf("harness: tracing %s failed: %v", w.Name, res.err))
+	rep := clean.Run(predict.WorkloadTarget(w, scale, workloads.Modified), clean.Config{
+		Seed: seed, YieldEvery: 16, MaxSteps: DefaultMaxSteps, Tracer: rec,
+	})
+	if rep.Err != nil {
+		panic(fmt.Sprintf("harness: tracing %s failed: %v", w.Name, rep.Err))
 	}
 	return &rec.Trace
 }

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
-	"repro/internal/machine"
+	clean "repro"
+	"repro/internal/predict"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -25,20 +25,21 @@ func Detect(w io.Writer, o Options) error {
 		var exceptions, waw, raw int
 		// Each repetition is an independent run keyed by its seed: fan the
 		// reps across the worker pool and classify in rep order.
+		t := predict.WorkloadTarget(wl, scale, workloads.Unmodified)
 		errs := ForEachIndexed(o.workers(), reps, func(rep int) error {
-			return runWorkload(wl, scale, workloads.Unmodified, runCfg{
-				seed: int64(rep), detSync: true,
-				detector: cleanDetector(core.Config{}),
-			}).err
+			return clean.Run(t, clean.Config{
+				Seed: int64(rep), DeterministicSync: true, Detection: clean.DetectCLEAN,
+				MaxSteps: DefaultMaxSteps,
+			}).Err
 		})
 		for rep, rerr := range errs {
-			var re *machine.RaceError
+			var re *clean.RaceError
 			if errors.As(rerr, &re) {
 				exceptions++
 				switch re.Kind {
-				case machine.WAW:
+				case clean.WAW:
 					waw++
-				case machine.RAW:
+				case clean.RAW:
 					raw++
 				default:
 					return fmt.Errorf("detect: %s: CLEAN reported %v", wl.Name, re.Kind)
@@ -84,19 +85,20 @@ func Determinism(w io.Writer, o Options) error {
 			err error
 			cur fp
 		}
+		t := predict.WorkloadTarget(wl, scale, workloads.Modified)
 		outs := ForEachIndexed(o.workers(), reps, func(rep int) repOut {
-			r := runWorkload(wl, scale, workloads.Modified, runCfg{
-				seed: int64(rep), detSync: true,
-				detector: cleanDetector(core.Config{}),
+			r := clean.Run(t, clean.Config{
+				Seed: int64(rep), DeterministicSync: true, Detection: clean.DetectCLEAN,
+				MaxSteps: DefaultMaxSteps,
 			})
-			if r.err != nil {
-				return repOut{err: r.err}
+			if r.Err != nil {
+				return repOut{err: r.Err}
 			}
 			return repOut{cur: fp{
-				hash:     r.hash,
-				counters: fmt.Sprint(r.counters),
-				reads:    r.stats.SharedReads,
-				writes:   r.stats.SharedWrites,
+				hash:     r.OutputHash,
+				counters: fmt.Sprint(r.FinalCounters),
+				reads:    r.Stats.SharedReads,
+				writes:   r.Stats.SharedWrites,
 			}}
 		})
 		for rep, out := range outs {

@@ -157,3 +157,19 @@ func TestBaselineSnapshotsDecode(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelFig6: the timing experiments fan each configuration's
+// repetitions across the pool; every repetition must build its own
+// config (CI runs this under -race). Fig. 6's cells are wall-clock, so
+// only completion is checked.
+func TestParallelFig6(t *testing.T) {
+	o := testOpts()
+	o.Parallel = 2
+	var buf bytes.Buffer
+	if err := Fig6(&buf, o); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "average") {
+		t.Fatalf("fig6 output lacks the average row:\n%s", buf.String())
+	}
+}

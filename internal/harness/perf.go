@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"io"
 
+	clean "repro"
 	"repro/internal/core"
+	"repro/internal/predict"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
@@ -29,51 +31,46 @@ func Perf(w io.Writer, o Options) error {
 	// byte-identical to a sequential run, except for the per-run
 	// ElapsedSeconds wall-clock field.
 	type job struct {
-		wl       workloads.Workload
-		label    string
-		detector string
-		cfg      runCfg
+		wl    workloads.Workload
+		label string
+		cfg   clean.Config
 	}
 	var jobs []job
 	for _, wl := range perfSuite() {
 		// The Fig. 7 configuration: no detector, nondeterministic
 		// scheduling, seed 0.
-		jobs = append(jobs, job{wl: wl, label: "base", detector: "none",
-			cfg: runCfg{yieldEvery: ye}})
+		jobs = append(jobs, job{wl: wl, label: "base",
+			cfg: clean.Config{YieldEvery: ye, MaxSteps: DefaultMaxSteps}})
 		// CLEAN + Kendo: the paper's full software system, for the
 		// detector and wait-time counters.
-		jobs = append(jobs, job{wl: wl, label: "clean", detector: "clean",
-			cfg: runCfg{
-				detSync:    true,
-				yieldEvery: ye,
-				detector:   cleanDetector(core.Config{}),
+		jobs = append(jobs, job{wl: wl, label: "clean",
+			cfg: clean.Config{
+				DeterministicSync: true, Detection: clean.DetectCLEAN,
+				YieldEvery: ye, MaxSteps: DefaultMaxSteps,
 			}})
 	}
-	type jobOut struct {
-		res runResult
-		rep telemetry.RunReport
-	}
-	outs := ForEachIndexed(o.workers(), len(jobs), func(i int) jobOut {
+	reports := ForEachIndexed(o.workers(), len(jobs), func(i int) *clean.Report {
 		j := jobs[i]
 		reg := telemetry.NewRegistry()
-		j.cfg.metrics = reg
-		res := runWorkload(j.wl, scale, workloads.Modified, j.cfg)
-		if res.err != nil {
-			return jobOut{res: res}
+		j.cfg.Metrics = reg
+		r := clean.Run(predict.WorkloadTarget(j.wl, scale, workloads.Modified), j.cfg)
+		if cd, ok := r.Detector.(*core.Detector); ok {
+			// The footprint gauges are the harness's addition to the
+			// run's report: republish the snapshot with them.
+			cd.PublishFootprintTo(reg)
+			r.Telemetry.Metrics = reg.Snapshot()
 		}
-		rep := buildRunReport(j.wl, scale, workloads.Modified, j.detector,
-			j.cfg.seed, j.cfg.detSync, res, reg)
-		rep.Variant = j.label
-		return jobOut{res: res, rep: rep}
+		return r
 	})
 
 	var freqs []float64
 	for i, j := range jobs {
-		out := outs[i]
-		if out.res.err != nil {
-			return fmt.Errorf("perf: %s/%s: %v", j.wl.Name, j.label, out.res.err)
+		r := reports[i]
+		if r.Err != nil {
+			return fmt.Errorf("perf: %s/%s: %v", j.wl.Name, j.label, r.Err)
 		}
-		rep := out.rep
+		rep := *r.Telemetry
+		rep.Variant = j.label
 		bench.Runs = append(bench.Runs, rep)
 
 		perK := rep.Gauge("machine.shared_per_1k_ops")

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	clean "repro"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
@@ -55,20 +56,22 @@ func TestPerfWritesBenchFile(t *testing.T) {
 		if !ok {
 			t.Fatalf("no base run for %s", name)
 		}
-		wl, _ := workloads.ByName(name)
-		res := runWorkload(wl, o.scale(workloads.ScaleNative), workloads.Modified,
-			runCfg{yieldEvery: o.yieldEvery()})
-		if res.err != nil {
-			t.Fatal(res.err)
+		res, err := clean.RunWorkload(name, o.scale(workloads.ScaleNative).String(), true,
+			clean.Config{YieldEvery: o.yieldEvery()})
+		if err != nil {
+			t.Fatal(err)
 		}
-		wantFreq := float64(res.stats.SharedAccesses()) / float64(res.stats.Ops) * 1000
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		wantFreq := float64(res.Stats.SharedAccesses()) / float64(res.Stats.Ops) * 1000
 		if got := rep.Gauge("machine.shared_per_1k_ops"); math.Abs(got-wantFreq) > 1e-9 {
 			t.Errorf("%s shared_per_1k_ops = %v, want %v (Fig. 7)", name, got, wantFreq)
 		}
-		if got, want := rep.Counter("machine.shared_reads"), res.stats.SharedReads; got != want {
+		if got, want := rep.Counter("machine.shared_reads"), res.Stats.SharedReads; got != want {
 			t.Errorf("%s shared_reads = %d, want %d", name, got, want)
 		}
-		if got, want := rep.Counter("machine.ops"), res.stats.Ops; got != want {
+		if got, want := rep.Counter("machine.ops"), res.Stats.Ops; got != want {
 			t.Errorf("%s ops = %d, want %d", name, got, want)
 		}
 		if _, ok := bench.Summary["perf.shared_per_1k_ops."+name]; !ok {
@@ -87,4 +90,44 @@ func TestPerfWritesBenchFile(t *testing.T) {
 	if !rep.DetSync {
 		t.Error("clean run not marked detsync")
 	}
+}
+
+// TestPerfMatchesBaseline pins BENCH_perf.json: the perf experiment at
+// test scale must reproduce the checked-in snapshot — every run's
+// identity, outcome, hash, counters and core.shadow_* gauges — with only
+// each run's elapsed_seconds ignored.
+func TestPerfMatchesBaseline(t *testing.T) {
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	if err := Perf(&buf, Options{Scale: workloads.ScaleTest, ScaleSet: true, JSONDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	name := telemetry.BenchFileName("perf")
+	got := readBenchStripped(t, filepath.Join(dir, name))
+	want := readBenchStripped(t, filepath.Join("..", "..", "testdata", "bench-baseline", name))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("BENCH_perf.json differs from the baseline beyond elapsed_seconds:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// readBenchStripped decodes a bench file and re-encodes it with every
+// run's elapsed_seconds zeroed.
+func readBenchStripped(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := telemetry.DecodeBenchFile(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range f.Runs {
+		f.Runs[i].ElapsedSeconds = 0
+	}
+	out, err := f.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -105,7 +105,7 @@ func Predict(w io.Writer, o Options) error {
 		var exploreSteps uint64
 		res := explore.RunProgram(explore.Options{
 			MaxRuns:  predictExploreRuns,
-			Detector: cleanDetector(core.Config{}),
+			Detector: func() machine.Detector { return core.New(core.Config{}) },
 		}, c.p, func(m *machine.Machine, err error) {
 			exploreSteps += m.Stats().Steps
 			var re *machine.RaceError

@@ -12,14 +12,16 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/machine"
+	"repro/internal/predict"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/vclock"
 	"repro/internal/workloads"
 )
 
-// DefaultMaxSteps is the scheduler-step budget runWorkload applies when a
-// configuration does not choose its own: roughly 25x the largest
+// DefaultMaxSteps is the scheduler-step budget every harness run carries
+// unless it chooses its own (resilience runs budget from calibration,
+// cleanrun -faults from -maxsteps): roughly 25x the largest
 // native-scale run, so a buggy or fault-degraded workload can never hang
 // cmd/cleanbench, while no legitimate experiment comes near it.
 const DefaultMaxSteps = 200_000_000
@@ -38,30 +40,20 @@ type faultReport struct {
 	Metrics telemetry.Snapshot
 }
 
-// Outcome classifies a fault-injected run for the resilience table.
+// Outcome classifies a fault-injected run for the resilience table: the
+// RunReport vocabulary of clean.OutcomeOf, with a completed run labelled
+// "clean" or, when the detector repaired metadata, "metadata-degraded",
+// and an escaped panic "UNCONTAINED".
 func (r faultReport) Outcome() string {
-	if r.Uncontained != "" {
-		return "UNCONTAINED"
-	}
-	var race *machine.RaceError
-	var dead *machine.DeadlockError
-	var live *machine.LivelockError
-	var merr *machine.MachineError
 	switch {
+	case r.Uncontained != "":
+		return "UNCONTAINED"
 	case r.Err == nil && r.DetStats.MetadataRepairs > 0:
 		return "metadata-degraded"
 	case r.Err == nil:
 		return "clean"
-	case errors.As(r.Err, &race):
-		return "race-exception"
-	case errors.As(r.Err, &dead):
-		return "deadlock"
-	case errors.As(r.Err, &live):
-		return "livelock"
-	case errors.As(r.Err, &merr):
-		return "contained-crash"
 	}
-	return "error"
+	return clean.OutcomeOf(r.Err)
 }
 
 // Fingerprint renders everything observable about the run; replay of the
@@ -91,35 +83,36 @@ func (r faultReport) Dump() *machine.Dump {
 	return nil
 }
 
-// runFaultOnce executes one workload under a fault plan with CLEAN +
-// deterministic synchronization and a step budget. Any panic that escapes
-// the machine is caught and reported as UNCONTAINED — the resilience
-// acceptance is that this never happens.
-func runFaultOnce(wl workloads.Workload, scale workloads.Scale, variant workloads.Variant,
-	plan faults.Plan, seed int64, maxSteps uint64, yieldEvery int) (rep faultReport) {
+// runFaultOnce executes one target under a fault plan with CLEAN +
+// deterministic synchronization and a step budget. It is the harness's
+// one run outside clean.Run: the injector must bind the detector's shadow
+// region before the run starts. Any panic that escapes the machine is
+// caught and reported as UNCONTAINED — the resilience acceptance is that
+// this never happens.
+func runFaultOnce(t clean.Target, plan faults.Plan, seed int64, maxSteps uint64, yieldEvery int) (rep faultReport) {
 	defer func() {
 		if r := recover(); r != nil {
 			rep.Uncontained = fmt.Sprint(r)
 		}
 	}()
-	layout := vclock.DefaultLayout
-	if cb := plan.ClockBits(); cb != 0 {
-		layout.ClockBits = cb
-	}
 	inj := faults.New(plan)
-	det := core.New(core.Config{Layout: layout})
-	inj.BindShadow(det.Epochs())
 	reg := telemetry.NewRegistry()
-	m := clean.NewMachineWithDetector(runCfg{
-		seed:       seed,
-		detSync:    true,
-		layout:     layout,
-		yieldEvery: yieldEvery,
-		maxSteps:   maxSteps,
-		injector:   inj,
-		metrics:    reg,
-	}.machineConfig(), det)
-	root, out := wl.Build(m, scale, variant)
+	cfg := clean.Config{
+		Seed:              seed,
+		DeterministicSync: true,
+		Detection:         clean.DetectCLEAN,
+		YieldEvery:        yieldEvery,
+		MaxSteps:          maxSteps,
+		FaultInjector:     inj,
+		Metrics:           reg,
+	}
+	if cb := plan.ClockBits(); cb != 0 {
+		cfg.ClockBits, cfg.TIDBits = cb, vclock.DefaultLayout.TIDBits
+	}
+	det := cfg.NewDetector().(*core.Detector)
+	inj.BindShadow(det.Epochs())
+	m := clean.NewMachineWithDetector(cfg, det)
+	root, hashAddr, hashLen := t.Build(m)
 	err := m.Run(root)
 	rep.Err = err
 	rep.Stats = m.Stats()
@@ -129,15 +122,15 @@ func runFaultOnce(wl workloads.Workload, scale workloads.Scale, variant workload
 	det.Stats().PublishTo(reg)
 	rep.Metrics = reg.Snapshot()
 	if err == nil {
-		rep.Hash = m.HashMem(out.Addr, out.Len)
+		rep.Hash = m.HashMem(hashAddr, hashLen)
 	}
 	return rep
 }
 
-// calibrate measures a fault-free run of the workload so PlanFor can place
+// calibrate measures a fault-free run of the target so PlanFor can place
 // triggers inside its extent.
-func calibrate(wl workloads.Workload, scale workloads.Scale, variant workloads.Variant, seed int64, yieldEvery int) faults.Profile {
-	rep := runFaultOnce(wl, scale, variant, faults.Plan{}, seed, DefaultMaxSteps, yieldEvery)
+func calibrate(t clean.Target, seed int64, yieldEvery int) faults.Profile {
+	rep := runFaultOnce(t, faults.Plan{}, seed, DefaultMaxSteps, yieldEvery)
 	return faults.Profile{
 		Ops:            rep.Stats.Ops,
 		Steps:          rep.Stats.Steps,
@@ -177,7 +170,8 @@ func Resilience(w io.Writer, o Options) error {
 	outcomes := map[string]int{}
 	for _, wl := range workloads.All() {
 		variant := resilienceVariant(wl)
-		prof := calibrate(wl, scale, variant, baseSeed, ye)
+		t := predict.WorkloadTarget(wl, scale, variant)
+		prof := calibrate(t, baseSeed, ye)
 		// Budget generously above the calibrated extent: stall windows,
 		// rollover pressure and retries all fit, while a genuinely stuck
 		// run trips the livelock watchdog quickly.
@@ -191,12 +185,12 @@ func Resilience(w io.Writer, o Options) error {
 				tries++
 				seed = baseSeed + int64(1000*attempt)
 				plan = faults.PlanFor(kind, seed, prof)
-				rep = runFaultOnce(wl, scale, variant, plan, seed, budget, ye)
+				rep = runFaultOnce(t, plan, seed, budget, ye)
 				if len(rep.Fired) > 0 || kind == faults.ClockPressure {
 					break // the fault landed (clock pressure fires implicitly)
 				}
 			}
-			replay := runFaultOnce(wl, scale, variant, plan, seed, budget, ye)
+			replay := runFaultOnce(t, plan, seed, budget, ye)
 			outcome := rep.Outcome()
 			outcomes[outcome]++
 			replayOK := rep.Fingerprint() == replay.Fingerprint()
@@ -287,11 +281,7 @@ func writeFaultArtifact(dir, cell string, plan faults.Plan, rep, replay faultRep
 // deterministic plan of the named kind, run it once, verify replay, and
 // print the outcome with its diagnostic dump.
 func RunFault(w io.Writer, workload, scaleName, kindName string, modified bool, seed int64, maxSteps uint64, yieldEvery int) error {
-	wl, ok := workloads.ByName(workload)
-	if !ok {
-		return fmt.Errorf("harness: unknown workload %q", workload)
-	}
-	scale, err := workloads.ParseScale(scaleName)
+	t, err := clean.WorkloadTarget(workload, scaleName, modified)
 	if err != nil {
 		return err
 	}
@@ -299,24 +289,17 @@ func RunFault(w io.Writer, workload, scaleName, kindName string, modified bool, 
 	if err != nil {
 		return err
 	}
-	variant := workloads.Unmodified
-	if modified {
-		if !wl.HasModified {
-			return fmt.Errorf("harness: %s has no modified variant", workload)
-		}
-		variant = workloads.Modified
-	}
 	if yieldEvery < 1 {
 		yieldEvery = 1
 	}
-	prof := calibrate(wl, scale, variant, seed, yieldEvery)
+	prof := calibrate(t, seed, yieldEvery)
 	if maxSteps == 0 {
 		maxSteps = prof.Steps*10 + 100_000
 	}
 	plan := faults.PlanFor(kind, seed, prof)
 	fmt.Fprintf(w, "fault plan:  %s (seed %d)\n", plan, seed)
-	rep := runFaultOnce(wl, scale, variant, plan, seed, maxSteps, yieldEvery)
-	replay := runFaultOnce(wl, scale, variant, plan, seed, maxSteps, yieldEvery)
+	rep := runFaultOnce(t, plan, seed, maxSteps, yieldEvery)
+	replay := runFaultOnce(t, plan, seed, maxSteps, yieldEvery)
 	fmt.Fprintf(w, "outcome:     %s\n", rep.Outcome())
 	fmt.Fprintf(w, "fired:       %v\n", rep.Fired)
 	if len(rep.Fired) == 0 && kind != faults.ClockPressure {

@@ -5,12 +5,12 @@ import (
 	"io"
 	"time"
 
+	clean "repro"
 	"repro/internal/core"
 	"repro/internal/fasttrack"
-	"repro/internal/machine"
+	"repro/internal/predict"
 	"repro/internal/shadow"
 	"repro/internal/stats"
-	"repro/internal/tsanlite"
 	"repro/internal/vclock"
 	"repro/internal/workloads"
 )
@@ -27,21 +27,23 @@ func Fig6(w io.Writer, o Options) error {
 	tb := stats.NewTable("benchmark", "detsync", "detect", "full CLEAN", "±full")
 	var dsAll, detAll, fullAll []float64
 	for _, wl := range perfSuite() {
-		time1 := func(cfg runCfg) (float64, float64) {
-			cfg.yieldEvery = ye
+		t := predict.WorkloadTarget(wl, scale, workloads.Modified)
+		time1 := func(detSync bool, det clean.Detection) (float64, float64) {
 			return meanSeconds(o.workers(), reps, func(rep int) time.Duration {
-				cfg.seed = int64(rep)
-				r := runWorkload(wl, scale, workloads.Modified, cfg)
-				if r.err != nil {
-					panic(fmt.Sprintf("fig6: %s: %v", wl.Name, r.err))
+				r := clean.Run(t, clean.Config{
+					Seed: int64(rep), DeterministicSync: detSync, Detection: det,
+					YieldEvery: ye, MaxSteps: DefaultMaxSteps,
+				})
+				if r.Err != nil {
+					panic(fmt.Sprintf("fig6: %s: %v", wl.Name, r.Err))
 				}
-				return r.elapsed
+				return r.Elapsed
 			})
 		}
-		base, _ := time1(runCfg{})
-		ds, _ := time1(runCfg{detSync: true})
-		det, _ := time1(runCfg{detector: cleanDetector(core.Config{})})
-		full, fullCI := time1(runCfg{detSync: true, detector: cleanDetector(core.Config{})})
+		base, _ := time1(false, clean.DetectNone)
+		ds, _ := time1(true, clean.DetectNone)
+		det, _ := time1(false, clean.DetectCLEAN)
+		full, fullCI := time1(true, clean.DetectCLEAN)
 		dsN, detN, fullN := ds/base, det/base, full/base
 		dsAll = append(dsAll, dsN)
 		detAll = append(detAll, detN)
@@ -64,16 +66,17 @@ func Fig7(w io.Writer, o Options) error {
 	// One independent run per workload: fan across the suite, report in
 	// suite order. Frequencies are deterministic, so the table is
 	// byte-identical however the runs were scheduled.
-	results := ForEachIndexed(o.workers(), len(suite), func(i int) runResult {
-		return runWorkload(suite[i], scale, workloads.Modified, runCfg{yieldEvery: o.yieldEvery()})
+	results := ForEachIndexed(o.workers(), len(suite), func(i int) *clean.Report {
+		return clean.Run(predict.WorkloadTarget(suite[i], scale, workloads.Modified),
+			clean.Config{YieldEvery: o.yieldEvery(), MaxSteps: DefaultMaxSteps})
 	})
 	for i, wl := range suite {
 		r := results[i]
-		if r.err != nil {
-			return fmt.Errorf("fig7: %s: %v", wl.Name, r.err)
+		if r.Err != nil {
+			return fmt.Errorf("fig7: %s: %v", wl.Name, r.Err)
 		}
-		freq := float64(r.stats.SharedAccesses()) / float64(r.stats.Ops) * 1000
-		tb.AddRow(wl.Name, freq, r.stats.SharedAccesses(), r.stats.Ops)
+		freq := float64(r.Stats.SharedAccesses()) / float64(r.Stats.Ops) * 1000
+		tb.AddRow(wl.Name, freq, r.Stats.SharedAccesses(), r.Stats.Ops)
 	}
 	_, err := fmt.Fprint(w, tb.String())
 	return err
@@ -91,35 +94,31 @@ func Fig8(w io.Writer, o Options) error {
 	tb := stats.NewTable("benchmark", "no-vec", "vec", "speedup", "≥4B %", "same-epoch %")
 	var speedups []float64
 	for _, wl := range perfSuite() {
-		time1 := func(cfg core.Config) float64 {
+		t := predict.WorkloadTarget(wl, scale, workloads.Modified)
+		time1 := func(det clean.Detection, noMultibyte bool) float64 {
 			m, _ := meanSeconds(o.workers(), reps, func(rep int) time.Duration {
-				r := runWorkload(wl, scale, workloads.Modified, runCfg{
-					seed: int64(rep), yieldEvery: ye,
-					detector: cleanDetector(cfg),
+				r := clean.Run(t, clean.Config{
+					Seed: int64(rep), YieldEvery: ye, MaxSteps: DefaultMaxSteps,
+					Detection: det, DisableMultibyteOpt: noMultibyte,
 				})
-				if r.err != nil {
-					panic(fmt.Sprintf("fig8: %s: %v", wl.Name, r.err))
+				if r.Err != nil {
+					panic(fmt.Sprintf("fig8: %s: %v", wl.Name, r.Err))
 				}
-				return r.elapsed
+				return r.Elapsed
 			})
 			return m
 		}
-		base, _ := meanSeconds(o.workers(), reps, func(rep int) time.Duration {
-			r := runWorkload(wl, scale, workloads.Modified, runCfg{seed: int64(rep), yieldEvery: ye})
-			return r.elapsed
-		})
-		noVec := time1(core.Config{DisableMultibyte: true})
-		vec := time1(core.Config{})
+		base := time1(clean.DetectNone, false)
+		noVec := time1(clean.DetectCLEAN, true)
+		vec := time1(clean.DetectCLEAN, false)
 		// Detector stats from one instrumented run.
-		r := runWorkload(wl, scale, workloads.Modified, runCfg{
-			yieldEvery: ye, detector: cleanDetector(core.Config{}),
-		})
-		if r.err != nil {
-			return fmt.Errorf("fig8: %s: %v", wl.Name, r.err)
+		r := clean.Run(t, clean.Config{YieldEvery: ye, MaxSteps: DefaultMaxSteps, Detection: clean.DetectCLEAN})
+		if r.Err != nil {
+			return fmt.Errorf("fig8: %s: %v", wl.Name, r.Err)
 		}
 		var wide, same float64
 		var total uint64
-		for sz, cnt := range r.stats.AccessBySize {
+		for sz, cnt := range r.Stats.AccessBySize {
 			total += cnt
 			if sz >= 4 {
 				wide += float64(cnt)
@@ -128,8 +127,8 @@ func Fig8(w io.Writer, o Options) error {
 		if total > 0 {
 			wide = wide / float64(total) * 100
 		}
-		if r.detStats != nil && r.detStats.MultibyteAccesses > 0 {
-			same = float64(r.detStats.MultibyteSameEpoch) / float64(r.detStats.MultibyteAccesses) * 100
+		if ds := r.Detector.(*core.Detector).Stats(); ds.MultibyteAccesses > 0 {
+			same = float64(ds.MultibyteSameEpoch) / float64(ds.MultibyteAccesses) * 100
 		}
 		sp := noVec / vec
 		speedups = append(speedups, sp)
@@ -155,6 +154,18 @@ func Table1(w io.Writer, o Options) error {
 	wide := vclock.WideClockLayout
 	tb := stats.NewTable("benchmark", "rollovers/s", "exec time decrease (28-bit)", "shadow meta")
 	for _, wl := range perfSuite() {
+		t := predict.WorkloadTarget(wl, scale, workloads.Modified)
+		run := func(rep int, l vclock.Layout) *clean.Report {
+			r := clean.Run(t, clean.Config{
+				Seed: int64(rep), YieldEvery: ye, DeterministicSync: true,
+				Detection: clean.DetectCLEAN, ClockBits: l.ClockBits, TIDBits: l.TIDBits,
+				MaxSteps: DefaultMaxSteps,
+			})
+			if r.Err != nil {
+				panic(fmt.Sprintf("table1: %s: %v", wl.Name, r.Err))
+			}
+			return r
+		}
 		// The narrow runs are fanned out by index so the per-rep rollover
 		// counts can be summed afterwards without a shared accumulator.
 		type narrowRun struct {
@@ -163,15 +174,9 @@ func Table1(w io.Writer, o Options) error {
 			footprint shadow.Footprint
 		}
 		runs := ForEachIndexed(o.workers(), reps, func(rep int) narrowRun {
-			r := runWorkload(wl, scale, workloads.Modified, runCfg{
-				seed: int64(rep), yieldEvery: ye, detSync: true,
-				layout:   narrow,
-				detector: cleanDetector(core.Config{Layout: narrow}),
-			})
-			if r.err != nil {
-				panic(fmt.Sprintf("table1: %s: %v", wl.Name, r.err))
-			}
-			return narrowRun{elapsed: r.elapsed, rollovers: r.stats.Rollovers, footprint: r.footprint}
+			r := run(rep, narrow)
+			return narrowRun{elapsed: r.Elapsed, rollovers: r.Stats.Rollovers,
+				footprint: r.Detector.(*core.Detector).Footprint()}
 		})
 		var rollovers uint64
 		secs := make([]float64, 0, reps)
@@ -184,15 +189,7 @@ func Table1(w io.Writer, o Options) error {
 			continue
 		}
 		wideT, _ := meanSeconds(o.workers(), reps, func(rep int) time.Duration {
-			r := runWorkload(wl, scale, workloads.Modified, runCfg{
-				seed: int64(rep), yieldEvery: ye, detSync: true,
-				layout:   wide,
-				detector: cleanDetector(core.Config{Layout: wide}),
-			})
-			if r.err != nil {
-				panic(fmt.Sprintf("table1: %s: %v", wl.Name, r.err))
-			}
-			return r.elapsed
+			return run(rep, wide).Elapsed
 		})
 		perSec := float64(rollovers) / float64(reps) / narrowT
 		decrease := (narrowT - wideT) / narrowT * 100
@@ -219,39 +216,40 @@ func Ablation(w io.Writer, o Options) error {
 	tb := stats.NewTable("benchmark", "clean", "fasttrack", "tsanlite", "FT meta ×CLEAN")
 	var cl, ft, ts []float64
 	for _, wl := range perfSuite() {
+		t := predict.WorkloadTarget(wl, scale, workloads.Modified)
+		run := func(rep int, det clean.Detection) *clean.Report {
+			return clean.Run(t, clean.Config{
+				Seed: int64(rep), YieldEvery: ye, Detection: det, MaxSteps: DefaultMaxSteps,
+			})
+		}
 		base, _ := meanSeconds(o.workers(), reps, func(rep int) time.Duration {
-			return runWorkload(wl, scale, workloads.Modified, runCfg{seed: int64(rep), yieldEvery: ye}).elapsed
+			return run(rep, clean.DetectNone).Elapsed
 		})
-		time1 := func(det func() machine.Detector) float64 {
+		time1 := func(det clean.Detection) float64 {
 			m, _ := meanSeconds(o.workers(), reps, func(rep int) time.Duration {
-				r := runWorkload(wl, scale, workloads.Modified, runCfg{
-					seed: int64(rep), yieldEvery: ye, detector: det,
-				})
-				if r.err != nil {
-					panic(fmt.Sprintf("ablation: %s: %v", wl.Name, r.err))
+				r := run(rep, det)
+				if r.Err != nil {
+					panic(fmt.Sprintf("ablation: %s: %v", wl.Name, r.Err))
 				}
-				return r.elapsed
+				return r.Elapsed
 			})
 			return m
 		}
-		cN := time1(cleanDetector(core.Config{})) / base
-		fN := time1(func() machine.Detector { return fasttrack.New(fasttrack.Config{}) }) / base
-		tN := time1(func() machine.Detector { return tsanlite.New(tsanlite.Config{}) }) / base
-		// Metadata comparison from single runs. CLEAN's footprint is
-		// captured at run end (runWorkload recycles the shadow pages
+		cN := time1(clean.DetectCLEAN) / base
+		fN := time1(clean.DetectFastTrack) / base
+		tN := time1(clean.DetectTSanLite) / base
+		// Metadata comparison from single runs. CLEAN's footprint is the
+		// one its run ended with (clean.Run recycles the shadow pages
 		// afterwards); the adaptive region charges one epoch per compact
 		// line plus per-byte entries only for expanded lines.
-		ftDet := fasttrack.New(fasttrack.Config{})
-		rf := runWorkload(wl, scale, workloads.Modified, runCfg{yieldEvery: ye,
-			detector: func() machine.Detector { return ftDet }})
-		rc := runWorkload(wl, scale, workloads.Modified, runCfg{yieldEvery: ye,
-			detector: cleanDetector(core.Config{})})
-		if rf.err != nil || rc.err != nil {
-			return fmt.Errorf("ablation: %s: %v / %v", wl.Name, rf.err, rc.err)
+		rf := run(0, clean.DetectFastTrack)
+		rc := run(0, clean.DetectCLEAN)
+		if rf.Err != nil || rc.Err != nil {
+			return fmt.Errorf("ablation: %s: %v / %v", wl.Name, rf.Err, rc.Err)
 		}
 		ratio := 0.0
-		if cb := rc.footprint.MetadataBytes; cb > 0 {
-			ratio = float64(ftDet.MetadataBytes()) / float64(cb)
+		if cb := rc.Detector.(*core.Detector).Footprint().MetadataBytes; cb > 0 {
+			ratio = float64(rf.Detector.(*fasttrack.Detector).MetadataBytes()) / float64(cb)
 		}
 		cl = append(cl, cN)
 		ft = append(ft, fN)

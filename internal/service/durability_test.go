@@ -285,6 +285,44 @@ func TestDeadlineExceeded(t *testing.T) {
 	}
 }
 
+// TestDeadlineExceededMultiSeed: when the deadline passes before a
+// multi-seed job starts, every per-seed run — fanned across the run pool
+// — is cut off with OutcomeDeadline, and the job is counted once. Under
+// -race this also pins that the concurrent per-seed runs share no
+// unsynchronized state.
+func TestDeadlineExceededMultiSeed(t *testing.T) {
+	ctx := context.Background()
+	si := faults.NewServiceInjector()
+	srv, c := startTestServer(t, Config{Workers: 1, QueueDepth: 8, RunParallelism: 4, Chaos: si})
+
+	sess, err := c.CreateSession(ctx, apiv1.SessionConfig{Detection: apiv1.DetectionCLEAN, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	si.Arm(faults.ServicePlan{StallFor: 300 * time.Millisecond})
+	// Enough seeds that the pool's goroutines overlap on the cut-off
+	// path; with 8, -race caught the unsynchronized flag ~1 run in 15.
+	seeds := make([]int64, 64)
+	for i := range seeds {
+		seeds[i] = int64(i + 1)
+	}
+	job, err := c.Run(ctx, sess.ID, apiv1.JobSpec{Litmus: "waw", Seeds: seeds, DeadlineSeconds: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(job.Runs) != len(seeds) {
+		t.Fatalf("stalled job has %d runs, want %d", len(job.Runs), len(seeds))
+	}
+	for i, r := range job.Runs {
+		if r.Outcome != apiv1.OutcomeDeadline || r.Seed != seeds[i] {
+			t.Errorf("run %d = seed %d %q, want seed %d deadline-exceeded", i, r.Seed, r.Outcome, seeds[i])
+		}
+	}
+	if n := srv.Metrics().Metrics.Counters["service.jobs_deadline_exceeded"]; n != 1 {
+		t.Errorf("jobs_deadline_exceeded = %d, want 1", n)
+	}
+}
+
 // TestStoreFailureRejectsSubmission: an injected journal failure on the
 // submission path surfaces as 503 + Retry-After, the job is not
 // acknowledged, and the next attempt (store healthy again) succeeds

@@ -33,6 +33,7 @@ import (
 	"log/slog"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -1092,17 +1093,15 @@ func (s *Server) runJob(j *job) []apiv1.RunResult {
 	if par > len(seeds) {
 		par = len(seeds)
 	}
-	// The PR-4 experiment-engine pool fans the independent per-seed runs
+	// The experiment engine's pool fans the independent per-seed runs
 	// out; each run builds its own machine, so they share nothing.
-	expired := false
 	results := harness.ForEachIndexed(par, len(seeds), func(i int) apiv1.RunResult {
 		if j.expired() {
-			expired = true
 			return deadlineResult(j, seeds[i])
 		}
 		return j.runOnce(seeds[i])
 	})
-	if expired {
+	if slices.ContainsFunc(results, func(r apiv1.RunResult) bool { return r.Outcome == apiv1.OutcomeDeadline }) {
 		s.count("service.jobs_deadline_exceeded")
 	}
 	s.metricsMu.Lock()
