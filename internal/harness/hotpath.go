@@ -20,8 +20,9 @@ import (
 // Hotpath measures the per-access cost of the detector fast path — the
 // quantity every §6 slowdown figure ultimately rests on — as a set of
 // steady-state micro-measurements: the shadow region's single-epoch and
-// vectorized (§4.4) operations on their unsynchronized fast lane, and the
-// machine's full instrumented access with and without CLEAN attached.
+// vectorized (§4.4) operations on their unsynchronized fast lane, the
+// machine's full instrumented access with and without CLEAN attached, and
+// the machine's scheduler step with and without Kendo turn waits.
 //
 // With Options.JSONDir set the results land in BENCH_hotpath.json as
 // hotpath.<name>.ns_per_op / hotpath.<name>.allocs_per_op summary gauges,
@@ -127,6 +128,12 @@ func Hotpath(w io.Writer, o Options) error {
 		}},
 		{"machine.access_clean", func(b *testing.B) {
 			benchMachineAccess(b, core.New(core.Config{}))
+		}},
+		{"machine.dispatch", func(b *testing.B) {
+			benchMachineDispatch(b, 2, false)
+		}},
+		{"machine.dispatch_kendo", func(b *testing.B) {
+			benchMachineDispatch(b, 4, true)
 		}},
 	}
 
@@ -236,6 +243,42 @@ func benchMachineAccess(b *testing.B, det machine.Detector) {
 	err := m.Run(func(t *machine.Thread) {
 		for i := 0; i < b.N; i++ {
 			t.StoreU64(a+uint64(i%512)*8, uint64(i))
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// benchMachineDispatch times the machine's scheduler step: threads threads
+// each run b.N/threads iterations of a one-unit Work, so every iteration
+// is a scheduling point — pick, then a handoff to the picked thread. With
+// det set, each iteration also signals a condition nobody waits on: a
+// synchronization operation that waits for the Kendo turn, so the
+// scheduler wakes turn waiters as well; the unequal Work sizes keep the
+// counters apart and the waits real.
+func benchMachineDispatch(b *testing.B, threads int, det bool) {
+	m := machine.New(machine.Config{YieldEvery: 1, DetSync: det})
+	c := m.NewCond()
+	per := b.N / threads
+	body := func(t *machine.Thread) {
+		for i := 0; i < per; i++ {
+			t.Work(1 + t.ID)
+			if det {
+				t.Signal(c)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	err := m.Run(func(t *machine.Thread) {
+		kids := make([]*machine.Thread, 0, threads-1)
+		for i := 1; i < threads; i++ {
+			kids = append(kids, t.Spawn(body))
+		}
+		body(t)
+		for _, k := range kids {
+			t.Join(k)
 		}
 	})
 	if err != nil {

@@ -124,6 +124,9 @@ func runFaultOnce(t clean.Target, plan faults.Plan, seed int64, maxSteps uint64,
 	if err == nil {
 		rep.Hash = m.HashMem(hashAddr, hashLen)
 	}
+	// The report holds copies only: hand the shadow pages back to the
+	// pool for the next cell.
+	m.ReleaseMetadata()
 	return rep
 }
 

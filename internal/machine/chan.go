@@ -102,7 +102,7 @@ func (t *Thread) Send(c *Chan) {
 			for !c.recvDone(need) {
 				t.DetCounter++
 				m.stats.Ops++
-				kendoRT{m: m, t: t}.Yield()
+				(*kendoRT)(t).Yield()
 				t.waitTurn()
 			}
 		} else {
@@ -135,7 +135,7 @@ func (t *Thread) Recv(c *Chan) {
 		for c.sendArrivals <= c.recvArrivals {
 			t.DetCounter++
 			m.stats.Ops++
-			kendoRT{m: m, t: t}.Yield()
+			(*kendoRT)(t).Yield()
 			t.waitTurn()
 		}
 	} else {

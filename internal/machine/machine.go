@@ -25,7 +25,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/kendo"
 	"repro/internal/memory"
 	"repro/internal/telemetry"
 	"repro/internal/vclock"
@@ -207,9 +206,14 @@ type Machine struct {
 	nextTID  int
 	liveID   int // monotone spawn sequence, for diagnostics
 
-	yielded chan *Thread
+	// done is closed by the goroutine whose scheduling pass finds every
+	// thread finished; Run waits on it.
+	done chan struct{}
 
-	stopErr      error
+	stopErr error
+	// schedFailed marks a scheduler panic: the remaining threads unwind
+	// lowest id first without consulting the Picker again.
+	schedFailed  bool
 	resetPending bool
 	initErr      error // deferred configuration error, returned by Run
 	ran          bool
@@ -232,6 +236,9 @@ type Machine struct {
 	// runnableBuf is the reusable scratch slice pick fills every scheduling
 	// round; reusing it keeps the dispatch loop allocation-free.
 	runnableBuf []*Thread
+	// tidBuf is the reusable id list kendoRT.Threads returns, so Kendo
+	// turn checks do not allocate.
+	tidBuf []int
 
 	recent  [dumpDecisions]Decision // scheduler-decision ring for dumps
 	recentN uint64
@@ -260,7 +267,7 @@ func New(cfg Config) *Machine {
 		layout:        cfg.Layout,
 		mem:           memory.New(),
 		rng:           rand.New(rand.NewSource(cfg.Seed)),
-		yielded:       make(chan *Thread),
+		done:          make(chan struct{}),
 		finalCounters: make(map[int]uint64),
 		initErr:       initErr,
 	}
@@ -344,7 +351,7 @@ func (m *Machine) HashMem(addr uint64, n int) uint64 {
 // *LivelockError when the MaxSteps budget is exhausted, or a
 // *MachineError for a contained crash (workload panic, API misuse,
 // orphaned lock, bad configuration).
-func (m *Machine) Run(root func(*Thread)) (err error) {
+func (m *Machine) Run(root func(*Thread)) error {
 	if m.initErr != nil {
 		return m.initErr
 	}
@@ -352,16 +359,7 @@ func (m *Machine) Run(root func(*Thread)) (err error) {
 		return &MachineError{Kind: ErrConfig, TID: -1, Op: "run", Msg: "machine is single-use; Run called twice"}
 	}
 	m.ran = true
-	// Contain scheduler-level panics (for example a misbehaving Picker)
-	// as structured errors. Thread goroutines may remain parked after
-	// such a failure — the machine is single-use, so they are abandoned.
-	defer func() {
-		if r := recover(); r != nil {
-			err = &MachineError{Kind: ErrScheduler, TID: -1, Op: "schedule",
-				Msg: fmt.Sprint(r), PanicValue: r, Dump: m.dump()}
-		}
-		m.publish()
-	}()
+	defer m.publish()
 	t0, terr := m.newThread(root)
 	if terr != nil {
 		return terr
@@ -372,45 +370,84 @@ func (m *Machine) Run(root func(*Thread)) (err error) {
 	m.tickClock(t0)
 	t0.state = stateRunnable
 	m.startGoroutine(t0)
+	m.handoff(m.schedule())
+	<-m.done
+	return m.stopErr
+}
+
+// schedule is the scheduler: it runs on whichever goroutine holds the
+// processor — Run for the first dispatch, then the yielding or finishing
+// thread — and returns the thread to dispatch next, or nil once every
+// thread has finished. Between dispatches it performs rollover resets,
+// detects deadlock and budget exhaustion, and burns stalled steps; after
+// any stop it makes every unfinished thread runnable so each unwinds at
+// its next scheduling point.
+func (m *Machine) schedule() *Thread {
 	for {
-		t, stalled := m.pick()
-		if t == nil && !stalled {
-			if m.allFinished() {
-				break
-			}
-			if m.stopErr == nil && m.resetPending {
-				m.performReset()
-				continue
-			}
-			if m.stopErr == nil {
-				m.stopErr = m.deadlockError()
-			}
-			m.forceUnblockAll()
-			continue
-		}
-		m.stats.Steps++
-		if m.stopErr == nil && m.cfg.MaxSteps > 0 && m.stats.Steps > m.cfg.MaxSteps {
-			// Kendo-starvation watchdog: the budget is spent and the
-			// run has not finished — stop with a livelock report and
-			// let every thread unwind.
-			m.stopErr = m.livelockError()
-			m.forceUnblockAll()
-			continue
-		}
-		if t == nil {
-			// Every runnable thread is stalled by an injected fault
-			// this round; burn the step so finite stall windows pass.
-			m.stats.StalledSteps++
-			continue
-		}
-		m.note(t.ID)
-		t.resume <- struct{}{}
-		<-m.yielded
 		if m.stopErr != nil {
 			m.forceUnblockAll()
 		}
+		if t, ok := m.scheduleStep(); ok {
+			return t
+		}
 	}
-	return m.stopErr
+}
+
+// scheduleStep makes one scheduling round. ok reports that the round
+// decided: t is the thread to dispatch, or nil when every thread has
+// finished. A scheduler panic (for example a misbehaving Picker) is
+// contained here as an ErrScheduler stop, so it is never charged to the
+// thread whose yield happened to run the scheduler.
+func (m *Machine) scheduleStep() (t *Thread, ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			m.stopErr = &MachineError{Kind: ErrScheduler, TID: -1, Op: "schedule",
+				Msg: fmt.Sprint(r), PanicValue: r, Dump: m.dump()}
+			m.schedFailed = true
+			t, ok = nil, false
+		}
+	}()
+	t, stalled := m.pick()
+	if t == nil && !stalled {
+		if m.allFinished() {
+			return nil, true
+		}
+		if m.stopErr == nil && m.resetPending {
+			m.performReset()
+			return nil, false
+		}
+		if m.stopErr == nil {
+			m.stopErr = m.deadlockError()
+		}
+		return nil, false
+	}
+	m.stats.Steps++
+	if m.stopErr == nil && m.cfg.MaxSteps > 0 && m.stats.Steps > m.cfg.MaxSteps {
+		// Kendo-starvation watchdog: the budget is spent and the run
+		// has not finished — stop with a livelock report and let every
+		// thread unwind.
+		m.stopErr = m.livelockError()
+		return nil, false
+	}
+	if t == nil {
+		// Every runnable thread is stalled by an injected fault this
+		// round; burn the step so finite stall windows pass.
+		m.stats.StalledSteps++
+		return nil, false
+	}
+	m.note(t.ID)
+	return t, true
+}
+
+// handoff passes the processor to next, or, when schedule found every
+// thread finished (next == nil), releases Run. The caller must not touch
+// machine state afterwards until it is dispatched again.
+func (m *Machine) handoff(next *Thread) {
+	if next == nil {
+		close(m.done)
+		return
+	}
+	next.resume <- struct{}{}
 }
 
 // pick selects the next runnable thread under the seeded policy, first
@@ -419,10 +456,18 @@ func (m *Machine) Run(root func(*Thread)) (err error) {
 // second result reports that runnable threads exist but every one of them
 // is stalled by an injected scheduler fault this round.
 func (m *Machine) pick() (*Thread, bool) {
-	m.wakeDetWaiters()
-	m.injectSpuriousWakes()
+	participating := m.wakeDetWaiters()
+	woken := m.injectSpuriousWakes()
 	if tel := m.tel; tel != nil && m.cfg.DetSync {
-		tel.kendoQueueDepth.Observe(float64(kendo.QueueDepth(kendoRT{m: m})))
+		// Exactly one participant holds the turn, so the wait queue is
+		// every other participant (kendo.QueueDepth, without its
+		// quadratic turn checks). Spuriously woken threads joined the
+		// participants after the holder pass.
+		depth := participating + woken - 1
+		if depth < 0 {
+			depth = 0
+		}
+		tel.kendoQueueDepth.Observe(float64(depth))
 	}
 	inj := m.cfg.Injector
 	runnable := m.runnableBuf[:0]
@@ -441,6 +486,10 @@ func (m *Machine) pick() (*Thread, bool) {
 	if len(runnable) == 0 {
 		return nil, stalled
 	}
+	if m.schedFailed {
+		// The Picker already failed once: unwind deterministically.
+		return runnable[0], false
+	}
 	if m.cfg.Picker != nil {
 		i := m.cfg.Picker(runnable)
 		if i < 0 || i >= len(runnable) {
@@ -453,11 +502,12 @@ func (m *Machine) pick() (*Thread, bool) {
 
 // injectSpuriousWakes wakes condition-blocked threads the fault plan says
 // should resume without a signal, removing them from their condition's
-// waiter list so a later Signal does not wake them twice.
-func (m *Machine) injectSpuriousWakes() {
+// waiter list so a later Signal does not wake them twice. It returns the
+// number of threads woken.
+func (m *Machine) injectSpuriousWakes() (woken int) {
 	inj := m.cfg.Injector
 	if inj == nil || m.stopErr != nil {
-		return
+		return 0
 	}
 	for _, t := range m.threads {
 		if t == nil || t.state != stateBlocked || t.waitingCond == nil {
@@ -475,25 +525,44 @@ func (m *Machine) injectSpuriousWakes() {
 		}
 		t.spurious = true
 		t.state = stateRunnable
+		woken++
 		m.stats.SpuriousWakes++
 		if tel := m.tel; tel != nil {
 			tel.tl.Instant(t.ID, "spurious wake", "fault", m.now())
 		}
 	}
+	return woken
 }
 
 // wakeDetWaiters resumes deterministic-turn waiters that can make
 // progress: the unique turn holder, or all of them when a rollover reset
-// needs everyone parked.
-func (m *Machine) wakeDetWaiters() {
+// needs everyone parked. It returns the number of threads competing for
+// the turn (0 without deterministic synchronization).
+func (m *Machine) wakeDetWaiters() (participating int) {
+	if !m.cfg.DetSync {
+		return 0
+	}
+	// The holder is the participant with the least (DetCounter, ID) —
+	// kendo.IsTurn's rule — found in one ascending-id pass. Waking a
+	// waiter changes no counter or participation, so one pass serves
+	// every waiter.
+	var holder *Thread
 	for _, t := range m.threads {
-		if t == nil || t.state != stateDetWait {
+		if t == nil || !t.participating() {
 			continue
 		}
-		if m.resetPending || kendo.IsTurn(kendoRT{m: m, t: t}, t.ID) {
+		participating++
+		if holder == nil || t.DetCounter < holder.DetCounter {
+			holder = t
+		}
+		if m.resetPending && t.state == stateDetWait {
 			t.state = stateRunnable
 		}
 	}
+	if holder != nil && holder.state == stateDetWait {
+		holder.state = stateRunnable
+	}
+	return participating
 }
 
 func (m *Machine) allFinished() bool {
@@ -689,7 +758,7 @@ func (m *Machine) startGoroutine(t *Thread) {
 				}
 			}
 			t.joiners = nil
-			m.yielded <- t
+			m.handoff(m.schedule())
 		}()
 		if m.stopErr != nil {
 			panic(stopToken)

@@ -72,26 +72,33 @@ func (m *Machine) NewBarrier(n int) *Barrier {
 	return b
 }
 
-// kendoRT adapts the machine to the kendo.Runtime view for one thread.
-type kendoRT struct {
-	m *Machine
-	t *Thread
-}
+// kendoRT adapts the machine to the kendo.Runtime view for one thread. It
+// is the Thread itself under another method set, so handing a *kendoRT to
+// the kendo package boxes a pointer and never allocates.
+type kendoRT Thread
 
-func (k kendoRT) Threads() []int {
-	ids := make([]int, 0, len(k.m.threads))
-	for tid, t := range k.m.threads {
+// Threads returns the ids of the started threads in a machine-owned
+// buffer, valid until the next call.
+func (k *kendoRT) Threads() []int {
+	m := k.m
+	ids := m.tidBuf[:0]
+	for tid, t := range m.threads {
 		if t != nil {
 			ids = append(ids, tid)
 		}
 	}
+	m.tidBuf = ids
 	return ids
 }
 
-func (k kendoRT) Counter(tid int) uint64 { return k.m.threads[tid].DetCounter }
+func (k *kendoRT) Counter(tid int) uint64 { return k.m.threads[tid].DetCounter }
 
-func (k kendoRT) Participating(tid int) bool {
-	switch k.m.threads[tid].state {
+func (k *kendoRT) Participating(tid int) bool { return k.m.threads[tid].participating() }
+
+// participating reports whether t competes for the Kendo turn: started,
+// not finished, and not suspended in a blocking wait.
+func (t *Thread) participating() bool {
+	switch t.state {
 	case stateRunnable, stateParked, stateDetWait:
 		return true
 	default:
@@ -104,12 +111,13 @@ func (k kendoRT) Participating(tid int) bool {
 // spin: the set of executed synchronization operations and their
 // (counter, tid) order are identical, but waiting threads cost no
 // scheduler dispatches while others catch up.
-func (k kendoRT) Yield() {
-	k.m.stats.DetWaitYields++
-	k.t.state = stateDetWait
-	k.t.yield()
-	for k.m.resetPending {
-		k.t.park()
+func (k *kendoRT) Yield() {
+	t := (*Thread)(k)
+	t.m.stats.DetWaitYields++
+	t.state = stateDetWait
+	t.yield()
+	for t.m.resetPending {
+		t.park()
 	}
 }
 
@@ -161,7 +169,7 @@ func (t *Thread) Lock(l *Mutex) {
 			t.checkOrphan(l)
 			t.DetCounter++
 			m.stats.Ops++
-			kendoRT{m: m, t: t}.Yield()
+			(*kendoRT)(t).Yield()
 			t.waitTurn()
 		}
 	} else {

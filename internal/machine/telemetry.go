@@ -158,7 +158,7 @@ func (o *kendoWaitObs) WaitEnd(tid int, yields uint64) {
 // telemetry when enabled. The yield sequence is identical either way, so
 // enabling telemetry never changes the deterministic order.
 func (t *Thread) waitTurn() {
-	rt := kendoRT{m: t.m, t: t}
+	rt := (*kendoRT)(t)
 	if tel := t.m.tel; tel != nil {
 		kendo.WaitForTurnObserved(rt, t.ID, tel.waitObs)
 		return

@@ -99,10 +99,14 @@ func (t *Thread) Machine() *Machine { return t.m }
 // EPOCH(t) read (Fig. 2) at the cost of one field load.
 func (t *Thread) Epoch() vclock.Epoch { return t.epoch }
 
-// yield hands control to the scheduler and blocks until redispatched.
+// yield runs the scheduler on this goroutine and, unless it picks t
+// again, hands the processor to the picked thread and blocks until
+// redispatched.
 func (t *Thread) yield() {
-	t.m.yielded <- t
-	<-t.resume
+	if next := t.m.schedule(); next != t {
+		t.m.handoff(next)
+		<-t.resume
+	}
 	if t.m.stopErr != nil {
 		panic(stopToken)
 	}

@@ -153,11 +153,9 @@ type job struct {
 	sess     *session
 	spec     apiv1.JobSpec
 	idemKey  string
-	prog     *prog.Program // resolved program for program/litmus jobs
-	cfg      clean.Config  // resolved at submission; runs vary only the seed
-	target   clean.Target
-	state    string // apiv1.JobQueued / JobRunning / JobDone
-	attempts int    // executions started (2 after a panic requeue)
+	run      *jobRun // resolved at submission; nil once the job is done
+	state    string  // apiv1.JobQueued / JobRunning / JobDone
+	attempts int     // executions started (2 after a panic requeue)
 	accepted time.Time
 	deadline time.Time // zero = no wall-clock deadline
 	panicVal interface{}
@@ -171,6 +169,15 @@ type job struct {
 	// waits on ack instead of vouching for a job that may yet be unwound.
 	acked bool
 	ack   chan struct{}
+}
+
+// jobRun is what a job was resolved to at submission. A finished job
+// serves only its spec, runs and trace, so JobDone drops it: the session
+// keeps every job for the server's lifetime.
+type jobRun struct {
+	prog   *prog.Program // resolved program for program/litmus jobs
+	cfg    clean.Config  // runs vary only the seed
+	target clean.Target
 }
 
 // closedAck is the pre-resolved ack channel for jobs that never had a
@@ -331,9 +338,10 @@ func (s *Server) recover(st *store.State) []*job {
 			close(j.done)
 		default: // queued or running at crash time: run it (again)
 			j.state = apiv1.JobQueued
+			run := &jobRun{}
 			var err error
-			if j.prog, err = s.resolveSpec(j.spec); err == nil {
-				j.cfg, j.target, err = s.resolveRun(sess, j.spec, j.prog)
+			if run.prog, err = s.resolveSpec(j.spec); err == nil {
+				run.cfg, run.target, err = s.resolveRun(sess, j.spec, run.prog)
 			}
 			if err != nil {
 				j.state = apiv1.JobDone
@@ -346,6 +354,7 @@ func (s *Server) recover(st *store.State) []*job {
 			} else {
 				// The original trace died with the crash; the re-run's
 				// trace starts at the re-enqueue.
+				j.run = run
 				j.mark(phaseQueued, j.accepted)
 				requeue = append(requeue, j)
 			}
@@ -663,9 +672,7 @@ func (s *Server) Submit(sessionID string, spec apiv1.JobSpec, idemKey string) (*
 		sess:     sess,
 		spec:     spec,
 		idemKey:  idemKey,
-		prog:     p,
-		cfg:      cfg,
-		target:   target,
+		run:      &jobRun{prog: p, cfg: cfg, target: target},
 		state:    apiv1.JobQueued,
 		accepted: now,
 		done:     make(chan struct{}),
@@ -734,10 +741,14 @@ func (s *Server) Job(sessionID, jobID string, wait time.Duration) (*apiv1.Job, e
 	s.mu.Unlock()
 
 	if wait > 0 {
+		// Stop the timer once the job is done: under this module's go
+		// line, an unstopped timer stays live for the whole wait.
+		timer := time.NewTimer(wait)
 		select {
 		case <-j.done:
-		case <-time.After(wait):
+		case <-timer.C:
 		}
+		timer.Stop()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1007,6 +1018,7 @@ func (s *Server) runOne(j *job, worker int) {
 	s.mu.Lock()
 	j.runs = runs
 	j.state = apiv1.JobDone
+	j.run = nil
 	j.sess.done++
 	attempts := j.attempts
 	j.mark(phaseStored, storedAt)
@@ -1148,14 +1160,14 @@ func (s *Server) runOptions(sc apiv1.SessionConfig, det clean.Detection, maxStep
 // runOnce runs the job's target once under seed through clean.Run, the
 // call an in-process caller makes.
 func (j *job) runOnce(seed int64) apiv1.RunResult {
-	cfg := j.cfg
+	cfg := j.run.cfg
 	cfg.Seed = seed
 	if j.sess.cfg.Metrics {
 		// A fresh registry per run: registries are single-threaded and
 		// runs fan out.
 		cfg.Metrics = clean.NewMetrics()
 	}
-	return resultOf(seed, clean.Run(j.target, cfg))
+	return resultOf(seed, clean.Run(j.run.target, cfg))
 }
 
 // resultOf renders a run report as the api/v1 run result. A predict run
@@ -1194,13 +1206,13 @@ func resultOf(seed int64, rep *clean.Report) apiv1.RunResult {
 // seed and no registry (the scheduler never consults either).
 func (j *job) runScheduled() apiv1.RunResult {
 	m := machine.New(machine.Config{
-		Detector: j.cfg.NewDetector(),
+		Detector: j.run.cfg.NewDetector(),
 		Picker:   prog.SequentialPicker(j.spec.Schedule...),
 		Layout:   layoutOf(j.sess.cfg),
-		MaxSteps: j.cfg.MaxSteps,
+		MaxSteps: j.run.cfg.MaxSteps,
 	})
 	defer m.ReleaseMetadata()
-	root, hashAddr, hashLen := j.target.Build(m)
+	root, hashAddr, hashLen := j.run.target.Build(m)
 	start := time.Now()
 	runErr := m.Run(root)
 	rep := &clean.Report{Err: runErr, FinalCounters: m.FinalCounters(), Elapsed: time.Since(start)}
@@ -1212,7 +1224,7 @@ func (j *job) runScheduled() apiv1.RunResult {
 		// Unified witness shape: a scheduled replay's evidence carries the
 		// sequential composition that produced it, same as predict's
 		// certified reorderings and staticrace's static witnesses.
-		res.Witness.Schedule = staticrace.V1Schedule(j.prog, j.spec.Schedule...)
+		res.Witness.Schedule = staticrace.V1Schedule(j.run.prog, j.spec.Schedule...)
 	}
 	return res
 }

@@ -36,8 +36,16 @@ type traceMark struct {
 	at    time.Time
 }
 
+// lifecycleMarks is the length of a job's usual trace — journaled,
+// queued, running, stored, done. Every finished job keeps its marks, so
+// the first mark sizes the slice for the whole lifecycle.
+const lifecycleMarks = 5
+
 // mark appends a lifecycle mark. Caller holds s.mu.
 func (j *job) mark(phase string, at time.Time) {
+	if j.marks == nil {
+		j.marks = make([]traceMark, 0, lifecycleMarks)
+	}
 	j.marks = append(j.marks, traceMark{phase: phase, at: at})
 }
 

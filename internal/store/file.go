@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -374,13 +375,9 @@ func (s *FileStore) compactLocked() error {
 	if err := s.syncToLocked(s.written); err != nil {
 		return err
 	}
-	snap := snapshotFile{Schema: 1, Kind: KindSnapshot, State: s.state}
-	data, err := json.MarshalIndent(&snap, "", "  ")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
 	tmp := filepath.Join(s.dir, snapshotName+".tmp")
-	if err := writeFileSync(tmp, append(data, '\n')); err != nil {
+	size, err := writeSnapshot(tmp, s.state)
+	if err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(s.dir, snapshotName)); err != nil {
@@ -413,11 +410,11 @@ func (s *FileStore) compactLocked() error {
 	elapsed := time.Since(compactStart).Seconds()
 	s.reg.Counter("store.compactions").Inc()
 	s.reg.Histogram("store.compact_seconds", compactBuckets...).Observe(elapsed)
-	s.reg.Gauge("store.snapshot_bytes").Set(float64(len(data)))
+	s.reg.Gauge("store.snapshot_bytes").Set(float64(size))
 	s.reg.Gauge("store.journal_bytes").Set(0)
 	s.log.Info("store: compacted journal into snapshot",
 		"dir", s.dir, "journal_bytes_before", journalBefore,
-		"snapshot_bytes", len(data), "seconds", elapsed)
+		"snapshot_bytes", size, "seconds", elapsed)
 	return nil
 }
 
@@ -451,23 +448,57 @@ func (s *FileStore) JournalBytes() int64 {
 	return s.written
 }
 
-func writeFileSync(path string, data []byte) error {
+// writeSnapshot writes st as a snapshotFile document to path, fsynced,
+// and returns its size. Records are encoded one at a time into a
+// buffered writer: the state holds every job the server has served, so
+// encoding it whole would make each compaction's transient memory grow
+// with the server's lifetime. The skeleton mirrors snapshotFile's and
+// State's JSON field names (TestSnapshotMatchesStructEncoding).
+func writeSnapshot(path string, st *State) (int64, error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return 0, fmt.Errorf("store: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
+	err = encodeSnapshot(f, st)
+	var size int64
+	if err == nil {
+		size, err = f.Seek(0, io.SeekCurrent)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return nil
+	if err != nil {
+		return 0, fmt.Errorf("store: %w", err)
+	}
+	return size, nil
+}
+
+func encodeSnapshot(w io.Writer, st *State) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	fmt.Fprintf(bw, `{"schema":1,"kind":%q,"state":{"sessions":[`, KindSnapshot)
+	for i := range st.Sessions {
+		if i > 0 {
+			bw.WriteByte(',')
+		}
+		if err := enc.Encode(&st.Sessions[i]); err != nil {
+			return err
+		}
+	}
+	bw.WriteString(`],"jobs":[`)
+	for i := range st.Jobs {
+		if i > 0 {
+			bw.WriteByte(',')
+		}
+		if err := enc.Encode(&st.Jobs[i]); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintf(bw, "],\"next_session\":%d,\"next_job\":%d}}\n", st.NextSession, st.NextJob)
+	return bw.Flush()
 }
 
 // syncDir fsyncs a directory so a rename within it is durable.

@@ -1,10 +1,14 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -359,5 +363,72 @@ func TestFileStoreMetrics(t *testing.T) {
 	}
 	if ch, ok := snap.Histograms["store.compact_seconds"]; !ok || ch.Count != 1 {
 		t.Errorf("compact_seconds = %+v, want count 1", ch)
+	}
+}
+
+// snapshotState is a state with every kind of record field set.
+func snapshotState(jobs int) *State {
+	st := newState()
+	st.Sessions = []SessionRecord{
+		{ID: "s-1", State: "active", Config: apiv1.SessionConfig{Detection: apiv1.DetectionCLEAN, Seed: 3}},
+		{ID: "s-2", State: "closed", Config: apiv1.SessionConfig{Detection: apiv1.DetectionNone, DetSync: true}},
+	}
+	for i := 1; i <= jobs; i++ {
+		j := jobN(i, apiv1.JobDone)
+		j.IdempotencyKey = fmt.Sprintf("key-<%d>&", i)
+		j.Attempts = 1 + i%2
+		j.Runs = []apiv1.RunResult{{Seed: int64(i), Outcome: apiv1.OutcomeCompleted,
+			DeterminismHash: "0xabc", FinalCounters: []uint64{1, 2, 3}}}
+		st.Jobs = append(st.Jobs, j)
+	}
+	st.NextSession, st.NextJob = 2, jobs
+	return st
+}
+
+// TestSnapshotMatchesStructEncoding: the streamed snapshot decodes to the
+// same document as encoding snapshotFile whole, so its hand-written
+// skeleton cannot drift from the struct tags.
+func TestSnapshotMatchesStructEncoding(t *testing.T) {
+	st := snapshotState(3)
+	var streamed bytes.Buffer
+	if err := encodeSnapshot(&streamed, st); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := json.Marshal(snapshotFile{Schema: 1, Kind: KindSnapshot, State: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want snapshotFile
+	if err := json.Unmarshal(streamed.Bytes(), &got); err != nil {
+		t.Fatalf("streamed snapshot does not decode: %v\n%s", err, streamed.Bytes())
+	}
+	if err := json.Unmarshal(whole, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("streamed snapshot decodes to\n%+v\nwant\n%+v", got.State, want.State)
+	}
+}
+
+// TestCompactDoesNotBufferState: a compaction allocates far less than the
+// snapshot it writes. The state holds every job a server has served, so
+// encoding it whole made each compaction's transient memory grow with the
+// server's lifetime.
+func TestCompactDoesNotBufferState(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts do not hold under -race")
+	}
+	s := openT(t, t.TempDir())
+	defer s.Close()
+	s.state = snapshotState(4000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	size := s.reg.Snapshot().Gauges["store.snapshot_bytes"]
+	if alloc := float64(after.TotalAlloc - before.TotalAlloc); alloc > size/4 {
+		t.Errorf("compaction allocated %.0f B for a %.0f B snapshot, want < 1/4 of it", alloc, size)
 	}
 }
